@@ -15,6 +15,8 @@ a parse/emit round trip is bit-exact.
 
 from __future__ import annotations
 
+import cmath
+
 from .core import Circuit, Gate, GateKind
 from .errors import ParseError, UnknownGate
 
@@ -24,9 +26,12 @@ def _parse_complex(token: str, line_no: int) -> complex:
     if len(parts) != 2:
         raise ParseError(f"expected 're,im', got {token!r}", line_no)
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        value = complex(float(parts[0]), float(parts[1]))
     except ValueError:
         raise ParseError(f"bad complex entry {token!r}", line_no) from None
+    if not cmath.isfinite(value):
+        raise ParseError(f"non-finite complex entry {token!r}", line_no)
+    return value
 
 
 def parse_circuit(text: str) -> Circuit:

@@ -32,7 +32,7 @@ from .cliffordtest import (
 from .clifford import random_clifford_circuit, tableau_equal, tableau_from_circuit
 from .core import DEFAULT_QUBIT_CAP, Circuit, Gate, GateKind, circuit_unitary
 from .errors import CandidateNotFound, QverifyError
-from .metrics import detection_probabilities, one_gate_pair, verify_theorem1, worst_distance
+from .metrics import detection_probabilities, one_gate_pair, theorem1, worst_distance
 from .pipeline import FactoryModel, simulate_production
 from .protocols import (
     ALL_CAPABILITIES,
@@ -101,7 +101,7 @@ def _cmd_distance(config: RunConfig) -> tuple[int, dict]:
     u = circuit_unitary(parse_circuit_file(config.u_path), cap=config.cap)
     ut = circuit_unitary(parse_circuit_file(config.ut_path), cap=config.cap)
     report = detection_probabilities(u, ut, cap=config.cap)
-    lhs, rhs, holds = verify_theorem1(u, ut, cap=config.cap)
+    lhs, rhs, holds = theorem1(report, u.n_qubits)
     verdict = "equal" if report.avg_distance <= EQUALITY_TOL else "different"
     out = _base_report(config)
     out.update(
@@ -157,8 +157,8 @@ _REVERSED_CNOT = np.array(
 )
 
 
-def _fault_options(ideal: Circuit, eps: float, cap: int) -> list[tuple[int, Gate]]:
-    """All single-gate replacements at worst-case distance >= eps."""
+def _fault_options(ideal: Circuit, eps: float, cap: int) -> list[Circuit]:
+    """All single-gate replacements of `ideal` at worst-case distance >= eps."""
     ideal_u = circuit_unitary(ideal, cap=cap)
     options = []
     for pos, g in enumerate(ideal.gates):
@@ -171,7 +171,7 @@ def _fault_options(ideal: Circuit, eps: float, cap: int) -> list[tuple[int, Gate
         for alt in alternatives:
             faulty = one_gate_pair(ideal, pos, alt)[1]
             if worst_distance(ideal_u, circuit_unitary(faulty, cap=cap), cap=cap) >= eps - 1e-9:
-                options.append((pos, alt))
+                options.append(faulty)
     return options
 
 
@@ -184,8 +184,8 @@ def _cmd_production_line(config: RunConfig) -> tuple[int, dict]:
         )
 
     def sampler(rng: np.random.Generator) -> Circuit:
-        pos, alt = options[rng.integers(0, len(options))]
-        return one_gate_pair(ideal, pos, alt)[1]
+        # The same objects every time, so the tester builds each unitary once.
+        return options[rng.integers(0, len(options))]
 
     factory = FactoryModel(ideal, config.fault_prob, sampler, config.eps, cap=config.cap)
     summary = simulate_production(
@@ -308,8 +308,34 @@ def dispatch(config: RunConfig) -> tuple[int, dict]:
     return _COMMANDS[config.command](config)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as one `error:` line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _checked(convert, accept, requirement: str):
+    """An argparse type: `convert` the text, then insist on `accept`."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_SHOTS = _checked(int, lambda v: v >= 0, ">= 0")
+_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+_ODD_BATCH = _checked(int, lambda v: v >= 1 and v % 2 == 1, "odd and >= 1")
+_OPEN_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qverify", description=__doc__)
+    parser = _Parser(prog="qverify", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, circuits=True):
@@ -324,33 +350,33 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("swap-test", "conditional-test", "inverse-test"):
         p = sub.add_parser(name, help=f"sampled {name.replace('-', ' ')}")
         common(p)
-        p.add_argument("--shots", type=int, default=1000)
+        p.add_argument("--shots", type=_SHOTS, default=1000)
 
     p = sub.add_parser("production-line", help="winnow a simulated production line")
     p.add_argument("--ideal", required=True, help="ideal circuit file")
     p.add_argument("--fault-prob", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--batch", type=int, default=11)
+    p.add_argument("--batch", type=_ODD_BATCH, default=11)
     p.add_argument("--batches", type=int, default=1000)
-    p.add_argument("--delta", type=float, default=1e-4)
+    p.add_argument("--delta", type=_OPEN_UNIT, default=1e-4)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cap", type=int, default=DEFAULT_QUBIT_CAP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("clifford-test", help="randomized Clifford equality test")
     common(p)
-    p.add_argument("--runs", type=int, default=60)
+    p.add_argument("--runs", type=_COUNT, default=60)
 
     p = sub.add_parser("find-error", help="locate a gate-level difference")
     common(p)
     p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--runs-per-candidate", type=int, default=40)
+    p.add_argument("--runs-per-candidate", type=_COUNT, default=40)
 
     p = sub.add_parser("fidelity-bound", help="check the Clifford fidelity bound")
     common(p, circuits=False)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--runs", type=int, default=200)
+    p.add_argument("--runs", type=_COUNT, default=200)
 
     return parser
 

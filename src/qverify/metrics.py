@@ -9,10 +9,10 @@ D^2 / 2).  The worst-case distance
 
     Dmax(U, V) = max_phi sqrt(1 - |<phi| U^dag V |phi>|^2)
 
-is the verification target.  Since W = U^dag V is normal, the set
-{<phi|W|phi>} is the convex hull of W's eigenvalues, so the minimum
-modulus mu is the distance from the origin to that hull polygon and
-Dmax = sqrt(1 - mu^2).  This module computes both exactly, plus the
+is the verification target.  Since W = U^dag V is unitary, the set
+{<phi|W|phi>} is the convex hull of W's eigenvalues on the unit
+circle, so Dmax follows from the shortest arc holding W's
+eigenphases.  This module computes both exactly, plus the
 single-gate transfer identities and the named adversarial examples.
 """
 
@@ -32,9 +32,6 @@ from .core import (
 )
 from .errors import CapExceeded, DimensionMismatch, IndexOutOfRange, TargetMismatch
 
-# Eigenvalues closer than this are treated as one hull vertex.
-_SNAP_TOL = 1e-12
-
 
 def _clamp01(v: float) -> float:
     return min(1.0, max(0.0, v))
@@ -48,7 +45,7 @@ def _check_same_dim(u: UnitaryMatrix, ut: UnitaryMatrix) -> None:
 def trace_overlap(u: UnitaryMatrix, ut: UnitaryMatrix) -> complex:
     """(1/2^n) Tr(U^dag V); modulus at most 1 up to rounding."""
     _check_same_dim(u, ut)
-    return complex(np.trace(u.matrix.conj().T @ ut.matrix)) / u.dim
+    return complex(np.vdot(u.matrix, ut.matrix)) / u.dim
 
 
 def avg_distance(u: UnitaryMatrix, ut: UnitaryMatrix) -> float:
@@ -57,91 +54,19 @@ def avg_distance(u: UnitaryMatrix, ut: UnitaryMatrix) -> float:
     return math.sqrt(max(0.0, 1.0 - abs(v) ** 2))
 
 
-def _snap_points(points: np.ndarray) -> list[tuple[float, float]]:
-    """Collapse complex points closer than _SNAP_TOL into one representative."""
-    order = np.lexsort((points.imag, points.real))
-    snapped: list[tuple[float, float]] = []
-    for idx in order:
-        p = (float(points[idx].real), float(points[idx].imag))
-        if snapped and math.hypot(p[0] - snapped[-1][0], p[1] - snapped[-1][1]) <= _SNAP_TOL:
-            continue
-        snapped.append(p)
-    return snapped
-
-
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Monotone-chain hull, counter-clockwise, no repeated endpoint.
-
-    Collinear input degenerates to its two extreme points; a single
-    point comes back unchanged.
-    """
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _segment_distance(p, a, b) -> float:
-    """Distance from point p to segment ab."""
-    ax, ay = a
-    vx, vy = b[0] - ax, b[1] - ay
-    seg2 = vx * vx + vy * vy
-    if seg2 == 0.0:
-        return math.hypot(p[0] - ax, p[1] - ay)
-    t = ((p[0] - ax) * vx + (p[1] - ay) * vy) / seg2
-    t = min(1.0, max(0.0, t))
-    return math.hypot(p[0] - (ax + t * vx), p[1] - (ay + t * vy))
-
-
-def min_modulus_over_numerical_range(w: np.ndarray) -> float:
-    """min_phi |<phi|W|phi>| for a normal matrix W.
-
-    The numerical range of a normal matrix is the convex hull of its
-    eigenvalues, so this is the distance from the origin to the hull
-    (0 when the origin lies inside or on it).
-    """
-    eig = np.linalg.eigvals(w)
-    pts = _snap_points(eig)
-    hull = _convex_hull(pts)
-    origin = (0.0, 0.0)
-    if len(hull) == 1:
-        return math.hypot(*hull[0])
-    if len(hull) == 2:
-        return _segment_distance(origin, hull[0], hull[1])
-    inside = True
-    for i in range(len(hull)):
-        if _cross(hull[i], hull[(i + 1) % len(hull)], origin) < 0.0:
-            inside = False
-            break
-    if inside:
-        return 0.0
-    return min(
-        _segment_distance(origin, hull[i], hull[(i + 1) % len(hull)])
-        for i in range(len(hull))
-    )
-
-
 def worst_distance(u: UnitaryMatrix, ut: UnitaryMatrix, cap: int = DEFAULT_QUBIT_CAP) -> float:
-    """The worst-case distance Dmax via the eigenvalue convex hull."""
+    """The worst-case distance Dmax from the eigenphases of W = U^dag V.
+
+    W is unitary, so its eigenvalues lie on the unit circle.  If the
+    shortest arc holding them all is shorter than pi, their hull lies
+    cos(arc/2) from the origin and Dmax = sin(arc/2); otherwise Dmax = 1.
+    """
     _check_same_dim(u, ut)
     if u.dim > 2**cap:
         raise CapExceeded(f"dimension {u.dim} exceeds dense cap 2^{cap}")
-    mu = _clamp01(min_modulus_over_numerical_range(u.matrix.conj().T @ ut.matrix))
-    return math.sqrt(max(0.0, 1.0 - mu * mu))
+    phases = np.sort(np.angle(np.linalg.eigvals(u.matrix.conj().T @ ut.matrix)))
+    arc = 2 * math.pi - float(np.diff(phases, append=phases[0] + 2 * math.pi).max())
+    return math.sin(min(max(arc, 0.0), math.pi) / 2)
 
 
 @dataclass(frozen=True)
@@ -170,21 +95,24 @@ def detection_probabilities(
     return DistanceReport(
         trace_overlap=v,
         avg_distance=_clamp01(d),
-        worst_distance=_clamp01(worst_distance(u, ut, cap=cap)),
+        worst_distance=worst_distance(u, ut, cap=cap),
         ent_fidelity=_clamp01(abs(v) ** 2),
         p_swap=_clamp01(d * d / 2.0),
         p_conditional=_clamp01(0.5 - v.real / 2.0),
     )
 
 
+def theorem1(report: DistanceReport, n_qubits: int) -> tuple[float, float, bool]:
+    """Dmax <= 2^((n+1)/2) * D on an n-qubit report; returns (lhs, rhs, holds)."""
+    rhs = 2.0 ** ((n_qubits + 1) / 2.0) * report.avg_distance
+    return report.worst_distance, rhs, report.worst_distance <= rhs + 1e-9
+
+
 def verify_theorem1(
     u: UnitaryMatrix, ut: UnitaryMatrix, cap: int = DEFAULT_QUBIT_CAP
 ) -> tuple[float, float, bool]:
     """Check Dmax <= 2^((n+1)/2) * D; returns (lhs, rhs, holds)."""
-    _check_same_dim(u, ut)
-    lhs = worst_distance(u, ut, cap=cap)
-    rhs = 2.0 ** ((u.n_qubits + 1) / 2.0) * avg_distance(u, ut)
-    return lhs, rhs, lhs <= rhs + 1e-9
+    return theorem1(detection_probabilities(u, ut, cap=cap), u.n_qubits)
 
 
 def one_gate_pair(base: Circuit, position: int, replacement: Gate) -> tuple[Circuit, Circuit]:

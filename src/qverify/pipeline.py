@@ -86,7 +86,7 @@ class SwapShotTester:
 
     def shot_probability(self, a: Circuit, b: Circuit) -> float:
         ua, ub = self._unitary(a), self._unitary(b)
-        overlap = complex(np.trace(ua.conj().T @ ub)) / ua.shape[0]
+        overlap = complex(np.vdot(ua, ub)) / ua.shape[0]
         return min(1.0, max(0.0, 0.5 - 0.5 * abs(overlap) ** 2))
 
     def verdict(self, a: Circuit, b: Circuit, rng: np.random.Generator) -> bool:

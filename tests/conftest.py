@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qverify.core import Circuit, Gate, GateKind
+
+# Property tests draw the same examples on every run and write no
+# example database, so the suite stays deterministic.
+settings.register_profile("qverify", derandomize=True, database=None, deadline=None)
+settings.load_profile("qverify")
 
 # Independent letter matrices for oracle checks (kron order: qubit 0
 # is the most significant factor, matching the package convention).
@@ -22,6 +28,28 @@ def pauli_kron(letters: str, sign: int = 1) -> np.ndarray:
     for ch in letters:
         m = np.kron(m, PAULI_1Q[ch])
     return m
+
+
+def embed_oracle(g: Gate, n: int) -> np.ndarray:
+    """Independent basis-state-enumeration embedding of a gate."""
+    k = g.n_targets
+    m = g.unitary()
+    dim = 2**n
+    out = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]
+        gate_in = 0
+        for j, t in enumerate(g.targets):
+            gate_in |= bits[t] << (k - 1 - j)
+        for gate_out in range(2**k):
+            new_bits = list(bits)
+            for j, t in enumerate(g.targets):
+                new_bits[t] = (gate_out >> (k - 1 - j)) & 1
+            idx = 0
+            for q in range(n):
+                idx |= new_bits[q] << (n - 1 - q)
+            out[idx, i] += m[gate_out, gate_in]
+    return out
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

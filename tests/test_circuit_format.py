@@ -43,6 +43,14 @@ def test_non_unitary_custom_block():
         parse_circuit(text)
 
 
+@pytest.mark.parametrize("entry", ["nan,0.0", "0.0,inf", "-inf,nan"])
+def test_non_finite_custom_entry_reports_line(entry):
+    text = f"QUBITS 1\nH 0\nCUSTOM 1 0\n1.0,0.0 0.0,0.0\n0.0,0.0 {entry}\n"
+    with pytest.raises(ParseError) as err:
+        parse_circuit(text)
+    assert err.value.line == 5
+
+
 def test_custom_matrix_row_count_checked():
     with pytest.raises(ParseError):
         parse_circuit("QUBITS 1\nCUSTOM 1 0\n1.0,0.0 0.0,0.0\n")

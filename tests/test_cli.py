@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qverify import pipeline
 from qverify.circuit_format import save_circuit
 from qverify.cli import main, parse_circuit_file
 from qverify.core import Circuit, gate
@@ -67,6 +68,14 @@ class TestDistanceCommand:
             "p_conditional",
             "theorem1",
         }
+
+    def test_equal_pair_satisfies_theorem1(self, files, capsys, tmp_path):
+        padded = tmp_path / "padded.qc"
+        save_circuit(Circuit(2, BELL.gates + (gate("H", 1), gate("H", 1))), padded)
+        code, report = run_json(capsys, "distance", "--u", files["u"], "--ut", str(padded))
+        assert code == 0
+        assert report["worst_distance"] <= 1e-12
+        assert report["theorem1"]["holds"] is True
 
 
 class TestProtocolCommands:
@@ -149,6 +158,24 @@ class TestCliffordCommands:
 
 
 class TestProductionLineCommand:
+    def test_tester_cache_holds_one_unitary_per_distinct_circuit(self, files, capsys, monkeypatch):
+        testers = []
+
+        class RecordingTester(pipeline.SwapShotTester):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                testers.append(self)
+
+        monkeypatch.setattr(pipeline, "SwapShotTester", RecordingTester)
+        code, report = run_json(
+            capsys, "production-line", "--ideal", files["u"], "--fault-prob", "0.2",
+            "--eps", "0.5", "--batch", "5", "--batches", "500", "--seed", "3",
+        )
+        assert code == 0
+        assert report["pre_rate"] > 0
+        [tester] = testers
+        assert len(tester._cache) <= report["fault_options"] + 1
+
     def test_small_run(self, files, capsys):
         code, report = run_json(
             capsys, "production-line", "--ideal", files["u"],
@@ -176,6 +203,34 @@ class TestErrorHandling:
         bad.write_text("NOT A CIRCUIT\n")
         with pytest.raises(ParseError):
             parse_circuit_file(str(bad))
+
+    def test_non_finite_matrix_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "nan.qc"
+        bad.write_text("QUBITS 1\nCUSTOM 1 0\nnan,0.0 0.0,0.0\n0.0,0.0 1.0,0.0\n")
+        code = main(["distance", "--u", str(bad), "--ut", str(bad)])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["swap-test", "--u", "u", "--ut", "u", "--shots", "-5"],
+            ["clifford-test", "--u", "u", "--ut", "u", "--runs", "0"],
+            ["fidelity-bound", "--runs", "0"],
+            ["find-error", "--u", "u", "--ut", "u", "--runs-per-candidate", "0"],
+            ["production-line", "--ideal", "u", "--delta", "0"],
+            ["production-line", "--ideal", "u", "--delta", "1"],
+            ["production-line", "--ideal", "u", "--batch", "4"],
+            ["production-line", "--ideal", "u", "--batch", "-1"],
+        ],
+        ids=["shots", "runs", "fidelity-runs", "runs-per-candidate", "delta-0", "delta-1",
+             "batch-even", "batch-negative"],
+    )
+    def test_bad_argument_exit_two_one_line(self, files, capsys, argv):
+        argv = [files[a] if a in files else a for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument " + argv[-2]) and err.count("\n") == 1
 
     def test_usage_error(self, capsys):
         assert main(["distance"]) == 2

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, pauli_kron, random_general_circuit, random_state
+from conftest import embed_oracle, haar_unitary, pauli_kron, random_general_circuit, random_state
 from qverify.core import (
     Circuit,
-    Gate,
     GateKind,
     StateVector,
     UnitaryMatrix,
@@ -30,28 +29,6 @@ from qverify.errors import (
 )
 
 INV_SQRT2 = 1 / np.sqrt(2)
-
-
-def embed_oracle(g: Gate, n: int) -> np.ndarray:
-    """Independent basis-state-enumeration embedding of a gate."""
-    k = g.n_targets
-    m = g.unitary()
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]
-        gate_in = 0
-        for j, t in enumerate(g.targets):
-            gate_in |= bits[t] << (k - 1 - j)
-        for gate_out in range(2**k):
-            new_bits = list(bits)
-            for j, t in enumerate(g.targets):
-                new_bits[t] = (gate_out >> (k - 1 - j)) & 1
-            idx = 0
-            for q in range(n):
-                idx |= new_bits[q] << (n - 1 - q)
-            out[idx, i] += m[gate_out, gate_in]
-    return out
 
 
 class TestCircuitUnitary:
@@ -249,6 +226,16 @@ class TestValidation:
     def test_state_norm_checked(self):
         with pytest.raises(ValueError):
             StateVector(1, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_custom_rejected(self, bad):
+        # nan > tol is False, so a defect test written that way let nan through.
+        m = np.eye(2, dtype=complex)
+        m[0, 0] = bad
+        with pytest.raises(NonUnitaryCustomGate):
+            custom_gate(m, 0)
+        with pytest.raises(NonUnitaryCustomGate):
+            UnitaryMatrix(m)
 
     def test_unitary_matrix_checked(self):
         with pytest.raises(NonUnitaryCustomGate):

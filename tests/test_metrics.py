@@ -1,4 +1,4 @@
-"""Distance metrics: closed forms, hull-based worst case, transfer identities."""
+"""Distance metrics: closed forms, eigenphase-arc worst case, transfer identities."""
 
 import numpy as np
 import pytest
@@ -106,6 +106,16 @@ class TestTheorem1:
         u = UnitaryMatrix(haar_unitary(8, rng))
         lhs, rhs, holds = verify_theorem1(u, u)
         assert lhs <= 1e-7 and rhs <= 1e-7 and holds
+
+    def test_equal_circuits_with_cancelling_pair(self, rng):
+        # Regression: Dmax came out ~1e-8 here (sqrt(1 - mu^2) at mu ~ 1)
+        # against rhs 0, so the bound was reported as violated.
+        base = random_general_circuit(8, 40, rng, custom_prob=0.1)
+        h = gate("H", 3)
+        padded = Circuit(8, base.gates[:20] + (h, h) + base.gates[20:])
+        u, ut = circuit_unitary(base), circuit_unitary(padded)
+        assert worst_distance(u, ut) <= 1e-12
+        assert verify_theorem1(u, ut)[2]
 
     def test_needle_n4(self):
         u, ut = flipped_diagonal_pair(4)

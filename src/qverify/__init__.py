@@ -39,7 +39,6 @@ from .cliffordtest import (
     prepare_input,
     repetitions_for_confidence,
     run_test_once,
-    single_qubit_expectation,
 )
 from .core import (
     DEFAULT_QUBIT_CAP,

@@ -72,11 +72,6 @@ class RunConfig:
     exhaustive: bool = False
 
 
-def parse_circuit_file(path: str) -> Circuit:
-    """Load a circuit file; ParseError carries the offending line."""
-    return load_circuit(path)
-
-
 def _base_report(config: RunConfig) -> dict:
     return {
         "report_version": 1,
@@ -98,8 +93,8 @@ def _protocol_report(outcome) -> dict:
 
 
 def _cmd_distance(config: RunConfig) -> tuple[int, dict]:
-    u = circuit_unitary(parse_circuit_file(config.u_path), cap=config.cap)
-    ut = circuit_unitary(parse_circuit_file(config.ut_path), cap=config.cap)
+    u = circuit_unitary(load_circuit(config.u_path), cap=config.cap)
+    ut = circuit_unitary(load_circuit(config.ut_path), cap=config.cap)
     report = detection_probabilities(u, ut, cap=config.cap)
     lhs, rhs, holds = theorem1(report, u.n_qubits)
     verdict = "equal" if report.avg_distance <= EQUALITY_TOL else "different"
@@ -121,8 +116,8 @@ def _cmd_distance(config: RunConfig) -> tuple[int, dict]:
 
 
 def _cmd_protocol(config: RunConfig) -> tuple[int, dict]:
-    u_circ = parse_circuit_file(config.u_path)
-    ut_circ = parse_circuit_file(config.ut_path)
+    u_circ = load_circuit(config.u_path)
+    ut_circ = load_circuit(config.ut_path)
     if config.command == "swap-test":
         u = BlackBoxUnitary(u_circ)
         ut = BlackBoxUnitary(ut_circ)
@@ -176,7 +171,7 @@ def _fault_options(ideal: Circuit, eps: float, cap: int) -> list[Circuit]:
 
 
 def _cmd_production_line(config: RunConfig) -> tuple[int, dict]:
-    ideal = parse_circuit_file(config.u_path)
+    ideal = load_circuit(config.u_path)
     options = _fault_options(ideal, config.eps, config.cap)
     if not options:
         raise QverifyError(
@@ -218,8 +213,8 @@ def _run_to_dict(run) -> dict:
 
 
 def _cmd_clifford_test(config: RunConfig) -> tuple[int, dict]:
-    u = parse_circuit_file(config.u_path)
-    ut = CliffordBlackBox(parse_circuit_file(config.ut_path))
+    u = load_circuit(config.u_path)
+    ut = CliffordBlackBox(load_circuit(config.ut_path))
     report = equivalence_verdict(u, ut, config.runs, config.seed)
     out = _base_report(config)
     out.update(
@@ -234,8 +229,8 @@ def _cmd_clifford_test(config: RunConfig) -> tuple[int, dict]:
 
 
 def _cmd_find_error(config: RunConfig) -> tuple[int, dict]:
-    u = parse_circuit_file(config.u_path)
-    ut = CliffordBlackBox(parse_circuit_file(config.ut_path))
+    u = load_circuit(config.u_path)
+    ut = CliffordBlackBox(load_circuit(config.ut_path))
     out = _base_report(config)
     try:
         candidate = find_error(u, ut, config.depth, config.runs_per_candidate, config.seed)
@@ -357,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-prob", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--batch", type=_ODD_BATCH, default=11)
-    p.add_argument("--batches", type=int, default=1000)
+    p.add_argument("--batches", type=_COUNT, default=1000)
     p.add_argument("--delta", type=_OPEN_UNIT, default=1e-4)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cap", type=int, default=DEFAULT_QUBIT_CAP)
@@ -369,12 +364,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-error", help="locate a gate-level difference")
     common(p)
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=int, choices=(1, 2), default=1)
     p.add_argument("--runs-per-candidate", type=_COUNT, default=40)
 
     p = sub.add_parser("fidelity-bound", help="check the Clifford fidelity bound")
     common(p, circuits=False)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_COUNT, default=1)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--runs", type=_COUNT, default=200)
 

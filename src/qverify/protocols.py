@@ -5,8 +5,7 @@ the access modes the black box grants (plain application, conditional
 application, or application of the inverse).  Shot outcomes are drawn
 from the analytically computed Bernoulli parameter, which has exactly
 the same distribution as simulating the full test circuit shot by
-shot but keeps 10^5-shot runs instant.  Literal full-width statevector
-simulations of each test are provided for small n as cross-checks.
+shot but keeps 10^5-shot runs instant.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .core import (
     _apply_gate_tensor,
     dagger,
     maximally_entangled_state,
-    zero_state,
 )
 from .errors import CapabilityMissing, DimensionMismatch, IndexOutOfRange
 from .seeding import rng_from_seed
@@ -288,86 +286,3 @@ def repeat_until_confident(
         return "equal", 0
     return tester(runs).verdict, runs
 
-
-# ---------------------------------------------------------------------------
-# Literal full-width simulations (cross-checks for small n)
-
-_CSWAP = np.eye(8, dtype=complex)
-_CSWAP[[5, 6]] = _CSWAP[[6, 5]]
-_CSWAP.setflags(write=False)
-
-
-def _entangle(state: StateVector, first: int, n: int) -> StateVector:
-    """H + CNOT preparation of n EPR pairs on qubits first..first+2n-1."""
-    for j in range(n):
-        state = _apply_one(state, Gate(GateKind.H, (first + j,)))
-        state = _apply_one(state, Gate(GateKind.CNOT, (first + j, first + n + j)))
-    return state
-
-
-def _apply_one(state: StateVector, g: Gate) -> StateVector:
-    arr = _apply_gate_tensor(state.amplitudes.reshape([2] * state.n_qubits), g, state.n_qubits)
-    return StateVector(state.n_qubits, np.ascontiguousarray(arr).reshape(-1))
-
-
-def _prob_qubit0_is_one(state: StateVector) -> float:
-    half = state.amplitudes.reshape(2, -1)[1]
-    return float(np.sum(np.abs(half) ** 2))
-
-
-def literal_swap_test_probability(u: BlackBoxUnitary, ut: BlackBoxUnitary) -> float:
-    """P(output 1) from simulating the full 4n+1-qubit swap-test circuit."""
-    if u.n_qubits != ut.n_qubits:
-        raise DimensionMismatch(f"{u.n_qubits} vs {ut.n_qubits} qubits")
-    n = u.n_qubits
-    total = 4 * n + 1
-    state = zero_state(total)
-    state = _entangle(state, 1, n)
-    state = _entangle(state, 2 * n + 1, n)
-    state = _apply_hidden(u, state, range(1, n + 1))
-    state = _apply_hidden(ut, state, range(2 * n + 1, 3 * n + 1))
-    state = _apply_one(state, Gate(GateKind.H, (0,)))
-    for i in range(2 * n):
-        state = _apply_one(state, Gate(GateKind.CUSTOM, (0, 1 + i, 2 * n + 1 + i), _CSWAP))
-    state = _apply_one(state, Gate(GateKind.H, (0,)))
-    return _prob_qubit0_is_one(state)
-
-
-def literal_conditional_test_probability(u: BlackBoxUnitary, ut: BlackBoxUnitary) -> float:
-    """P(output 1) from simulating the 2n+1-qubit conditional test."""
-    if u.n_qubits != ut.n_qubits:
-        raise DimensionMismatch(f"{u.n_qubits} vs {ut.n_qubits} qubits")
-    n = u.n_qubits
-    state = zero_state(2 * n + 1)
-    state = _apply_one(state, Gate(GateKind.H, (0,)))
-    state = _entangle(state, 1, n)
-    state = _apply_hidden_conditional(u, state, control=0, on_value=0, qubits=range(1, n + 1))
-    state = _apply_hidden_conditional(ut, state, control=0, on_value=1, qubits=range(1, n + 1))
-    state = _apply_one(state, Gate(GateKind.H, (0,)))
-    return _prob_qubit0_is_one(state)
-
-
-def _apply_hidden_conditional(box, state, control, on_value, qubits):
-    n = state.n_qubits
-    arr = state.amplitudes.reshape([2] * n)
-    for g in _hidden_circuit(box).gates:
-        mapped = _retarget(g, tuple(qubits))
-        cg = Gate(GateKind.CUSTOM, (control,) + mapped.targets, _controlled_matrix(mapped, on_value))
-        arr = _apply_gate_tensor(arr, cg, n)
-    return StateVector(n, np.ascontiguousarray(arr).reshape(-1))
-
-
-def literal_inverse_test_probability(u: Circuit, ut: BlackBoxUnitary) -> float:
-    """P(reject) from simulating the 2n-qubit inverse-based test."""
-    if u.n_qubits != ut.n_qubits:
-        raise DimensionMismatch(f"{u.n_qubits} vs {ut.n_qubits} qubits")
-    n = u.n_qubits
-    state = zero_state(2 * n)
-    state = _entangle(state, 0, n)
-    state = _apply_hidden(ut, state, range(n))
-    state = apply_circuit_to(dagger(u), state, range(n))
-    # Undo the entangling preparation and read P(not all zeros).
-    for j in reversed(range(n)):
-        state = _apply_one(state, Gate(GateKind.CNOT, (j, n + j)))
-        state = _apply_one(state, Gate(GateKind.H, (j,)))
-    return 1.0 - float(abs(state.amplitudes[0]) ** 2)

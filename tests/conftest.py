@@ -30,6 +30,35 @@ def pauli_kron(letters: str, sign: int = 1) -> np.ndarray:
     return m
 
 
+INV_SQRT2 = 1 / np.sqrt(2)
+
+# Eigenstates written out independently of the package, keyed by
+# (letter, sign); "T+" is (|0> + e^(i pi/4)|1>)/sqrt(2), the state the
+# Clifford test prepares where the pulled-back Pauli has an identity.
+ORACLE_STATES = {
+    ("X", 1): np.array([1, 1]) * INV_SQRT2,
+    ("X", -1): np.array([1, -1]) * INV_SQRT2,
+    ("Y", 1): np.array([1, 1j]) * INV_SQRT2,
+    ("Y", -1): np.array([1, -1j]) * INV_SQRT2,
+    ("Z", 1): np.array([1, 0]),
+    ("Z", -1): np.array([0, 1]),
+    ("T+", 1): np.array([1, np.exp(1j * np.pi / 4)]) * INV_SQRT2,
+}
+
+
+def prep_statevector(prep) -> np.ndarray:
+    """Dense amplitudes of an EigenstatePrep, built from ORACLE_STATES."""
+    amps = np.array([1.0], dtype=complex)
+    for j in range(prep.q.n):
+        letter = prep.q.letter(j)
+        if letter == "I":
+            state = ORACLE_STATES[("T+", 1)]
+        else:
+            state = ORACLE_STATES[(letter, -1 if (prep.signs >> j) & 1 else 1)]
+        amps = np.kron(amps, state)
+    return amps
+
+
 def embed_oracle(g: Gate, n: int) -> np.ndarray:
     """Independent basis-state-enumeration embedding of a gate."""
     k = g.n_targets

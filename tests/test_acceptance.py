@@ -26,7 +26,6 @@ from qverify.cliffordtest import (
     equivalence_verdict,
     find_error,
     one_qubit_clifford_circuits,
-    prep_statevector,
     prepare_input,
     run_test_once,
 )
@@ -176,7 +175,7 @@ def test_criterion_07_pauli_difference_detected_half_the_time():
 def test_criterion_08_tableau_path_matches_dense_simulation():
     """Acceptance probabilities through tableaux equal dense statevector
     simulation to 1e-9 on 200 random distinct Clifford pairs, n <= 5."""
-    from conftest import pauli_kron
+    from conftest import pauli_kron, prep_statevector
 
     rng = np.random.default_rng(108)
     checked = 0
@@ -191,7 +190,7 @@ def test_criterion_08_tableau_path_matches_dense_simulation():
         q = conjugate_pauli(tableau_dagger(u), p)
         prep = prepare_input(q, rng)
         analytic = acceptance_probability(tu, tut, q, prep)
-        psi = prep_statevector(prep).amplitudes
+        psi = prep_statevector(prep)
         evolved = circuit_unitary(ut).matrix @ psi
         e = np.vdot(evolved, pauli_kron(p.letters()) @ evolved).real
         dense = (1 + prep.eigenvalue * e) / 2

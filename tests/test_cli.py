@@ -5,8 +5,8 @@ import json
 import pytest
 
 from qverify import pipeline
-from qverify.circuit_format import save_circuit
-from qverify.cli import main, parse_circuit_file
+from qverify.circuit_format import load_circuit, save_circuit
+from qverify.cli import main
 from qverify.core import Circuit, gate
 from qverify.errors import ParseError
 
@@ -202,7 +202,7 @@ class TestErrorHandling:
         bad = tmp_path / "bad.qc"
         bad.write_text("NOT A CIRCUIT\n")
         with pytest.raises(ParseError):
-            parse_circuit_file(str(bad))
+            load_circuit(str(bad))
 
     def test_non_finite_matrix_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "nan.qc"
@@ -222,9 +222,15 @@ class TestErrorHandling:
             ["production-line", "--ideal", "u", "--delta", "1"],
             ["production-line", "--ideal", "u", "--batch", "4"],
             ["production-line", "--ideal", "u", "--batch", "-1"],
+            ["production-line", "--ideal", "u", "--batches", "-3"],
+            ["find-error", "--u", "u", "--ut", "u", "--depth", "3"],
+            ["find-error", "--u", "u", "--ut", "u", "--depth", "0"],
+            ["fidelity-bound", "--n", "0"],
+            ["fidelity-bound", "--n", "-2"],
         ],
         ids=["shots", "runs", "fidelity-runs", "runs-per-candidate", "delta-0", "delta-1",
-             "batch-even", "batch-negative"],
+             "batch-even", "batch-negative", "batches-negative", "depth-3", "depth-0",
+             "n-0", "n-negative"],
     )
     def test_bad_argument_exit_two_one_line(self, files, capsys, argv):
         argv = [files[a] if a in files else a for a in argv]

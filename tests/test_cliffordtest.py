@@ -5,10 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import pauli_kron
+from conftest import INV_SQRT2, ORACLE_STATES, pauli_kron, prep_statevector
 from qverify.clifford import (
     PauliString,
     conjugate_pauli,
+    conjugate_pauli_inverse,
     random_clifford_circuit,
     random_pauli,
     tableau_dagger,
@@ -16,64 +17,106 @@ from qverify.clifford import (
     tableau_from_circuit,
 )
 from qverify.cliffordtest import (
-    TPLUS,
     CliffordBlackBox,
+    EigenstatePrep,
     _candidates,
     acceptance_probability,
     detection_probability_exact,
     entanglement_fidelity_clifford,
     equivalence_verdict,
+    expectation_on_prep,
     find_error,
     one_qubit_clifford_circuits,
-    prep_statevector,
     prepare_input,
     repetitions_for_confidence,
     run_test_once,
-    single_qubit_expectation,
 )
 from qverify.core import Circuit, circuit_unitary, gate
-from qverify.errors import CandidateNotFound, CapExceeded
+from qverify.errors import CandidateNotFound, CapExceeded, DimensionMismatch
 from qverify.metrics import trace_overlap
 
-INV_SQRT2 = 1 / np.sqrt(2)
 
-# Test-local eigenstates, written out independently of the package.
-ORACLE_STATES = {
-    ("X", 1): np.array([1, 1]) * INV_SQRT2,
-    ("X", -1): np.array([1, -1]) * INV_SQRT2,
-    ("Y", 1): np.array([1, 1j]) * INV_SQRT2,
-    ("Y", -1): np.array([1, -1j]) * INV_SQRT2,
-    ("Z", 1): np.array([1, 0]),
-    ("Z", -1): np.array([0, 1]),
-    (TPLUS, 1): np.array([1, np.exp(1j * np.pi / 4)]) * INV_SQRT2,
-}
+def one_qubit_expectation(entry: tuple[str, int], letter: str) -> float:
+    """expectation_on_prep on one qubit prepared as ORACLE_STATES[entry]."""
+    basis, sign = entry
+    if basis == "T+":
+        prep = EigenstatePrep(PauliString.identity(1), 0)
+    else:
+        prep = EigenstatePrep(PauliString.from_label(basis), 0 if sign == 1 else 1)
+    return expectation_on_prep(prep, PauliString.from_label(letter))
+
+
+def drawn_signs(prep: EigenstatePrep) -> list[int]:
+    return [-1 if (prep.signs >> j) & 1 else 1 for j in range(prep.q.n)]
+
+
+def mixed_prep(q: PauliString, rng: np.random.Generator) -> tuple[EigenstatePrep, int]:
+    """The symmetric alternative to T+: an eigenstate of q whose identity
+    positions hold a uniformly random one of the six X/Y/Z eigenstates.
+
+    Returns it as the prep of q with those letters filled in, and its
+    eigenvalue under q itself.
+    """
+    prep = prepare_input(q, rng)
+    fill_x = fill_z = fill_signs = 0
+    for j in range(q.n):
+        if q.letter(j) == "I":
+            basis = "XYZ"[rng.integers(0, 3)]
+            fill_x |= (basis in "XY") << j
+            fill_z |= (basis in "YZ") << j
+            fill_signs |= int(rng.integers(0, 2)) << j
+    filled = PauliString.from_bits(q.n, q.x | fill_x, q.z | fill_z, q.sign())
+    return EigenstatePrep(filled, prep.signs | fill_signs), prep.eigenvalue
 
 
 class TestSingleQubitExpectation:
     def test_identity_letter(self):
-        assert single_qubit_expectation(("Z", 1), "I") == 1.0
-        assert single_qubit_expectation((TPLUS, 1), "I") == 1.0
+        assert one_qubit_expectation(("Z", 1), "I") == 1.0
+        assert one_qubit_expectation(("T+", 1), "I") == 1.0
 
     def test_matching_eigenstate(self):
-        assert single_qubit_expectation(("Z", 1), "Z") == 1.0
-        assert single_qubit_expectation(("Y", -1), "Y") == -1.0
+        assert one_qubit_expectation(("Z", 1), "Z") == 1.0
+        assert one_qubit_expectation(("Y", -1), "Y") == -1.0
 
     def test_mutually_unbiased(self):
-        assert single_qubit_expectation(("X", 1), "Y") == 0.0
-        assert single_qubit_expectation(("Z", -1), "X") == 0.0
+        assert one_qubit_expectation(("X", 1), "Y") == 0.0
+        assert one_qubit_expectation(("Z", -1), "X") == 0.0
 
     def test_tplus_values(self):
-        assert single_qubit_expectation((TPLUS, 1), "X") == pytest.approx(INV_SQRT2)
-        assert single_qubit_expectation((TPLUS, 1), "Y") == pytest.approx(INV_SQRT2)
-        assert single_qubit_expectation((TPLUS, 1), "Z") == 0.0
+        assert one_qubit_expectation(("T+", 1), "X") == pytest.approx(INV_SQRT2)
+        assert one_qubit_expectation(("T+", 1), "Y") == pytest.approx(INV_SQRT2)
+        assert one_qubit_expectation(("T+", 1), "Z") == 0.0
 
     def test_whole_table_against_dense_oracle(self):
         for entry, state in ORACLE_STATES.items():
             for letter in "IXYZ":
                 dense = np.vdot(state, pauli_kron(letter) @ state).real
-                assert single_qubit_expectation(entry, letter) == pytest.approx(
+                assert one_qubit_expectation(entry, letter) == pytest.approx(
                     dense, abs=1e-12
                 )
+
+    def test_product_states_against_dense_oracle(self, rng):
+        # random signed observables on random preps, n <= 4; half of the
+        # observables copy q's letters on a random subset of qubits, so
+        # nonzero values are common
+        nonzero = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            q = random_pauli(n, rng)
+            q = -q if rng.random() < 0.5 else q
+            prep = prepare_input(q, rng)
+            p = random_pauli(n, rng)
+            if rng.random() < 0.5:
+                keep = int(rng.integers(0, 2**n))
+                x = (q.x & keep) | (p.x & ~keep)
+                p = PauliString.from_bits(n, x, (q.z & keep) | (p.z & ~keep), 1)
+            p = -p if rng.random() < 0.5 else p
+            psi = prep_statevector(prep)
+            dense = np.vdot(psi, pauli_kron(p.letters(), p.sign()) @ psi).real
+            value = expectation_on_prep(prep, p)
+            assert value == pytest.approx(dense, abs=1e-12)
+            nonzero += value != 0.0
+        assert nonzero > 50
 
 
 class TestPrepareInput:
@@ -81,16 +124,17 @@ class TestPrepareInput:
         q = PauliString.from_label("+ZZ")
         for _ in range(20):
             prep = prepare_input(q, rng)
-            drawn = [s for (basis, s) in prep.entries]
+            drawn = drawn_signs(prep)
+            assert prep.q == q
             assert prep.eigenvalue == drawn[0] * drawn[1]
 
     def test_negative_sign_counts(self, rng):
         q = PauliString.from_label("-XI")
         for _ in range(10):
             prep = prepare_input(q, rng)
-            assert prep.entries[1] == (TPLUS, 1)
-            assert prep.entries[0][0] == "X"
-            assert prep.eigenvalue == -prep.entries[0][1]
+            assert prep.q.letter(1) == "I" and not prep.signs >> 1  # T+
+            assert prep.q.letter(0) == "X"
+            assert prep.eigenvalue == -drawn_signs(prep)[0]
 
     def test_dense_eigenstate_property(self, rng):
         # Q |psi_in> = lambda |psi_in> for 100 random draws at n = 4
@@ -99,35 +143,29 @@ class TestPrepareInput:
             if rng.random() < 0.5:
                 q = -q
             prep = prepare_input(q, rng)
-            psi = prep_statevector(prep).amplitudes
+            psi = prep_statevector(prep)
             qm = pauli_kron(q.letters(), q.sign())
             assert np.allclose(qm @ psi, prep.eigenvalue * psi, atol=1e-12)
-
-    def test_mixed_identity_mode(self, rng):
-        # the symmetric alternative: identity positions get one of the
-        # six X/Y/Z eigenstates instead of the TPLUS state
-        q = PauliString.from_label("+XIIZ")
-        bases_seen = set()
-        for _ in range(60):
-            prep = prepare_input(q, rng, identity_mode="mixed")
-            assert prep.entries[0][0] == "X" and prep.entries[3][0] == "Z"
-            for j in (1, 2):
-                basis, sign = prep.entries[j]
-                assert basis in "XYZ" and sign in (-1, 1)
-                bases_seen.add((basis, sign))
-            psi = prep_statevector(prep).amplitudes
-            qm = pauli_kron(q.letters(), q.sign())
-            assert np.allclose(qm @ psi, prep.eigenvalue * psi, atol=1e-12)
-        assert len(bases_seen) == 6
 
     def test_mixed_mode_still_sound_on_equal_circuits(self, rng):
+        # identity positions in any X/Y/Z eigenstate instead of T+: the
+        # state is still a lambda-eigenstate of q, and equal tableaux
+        # still accept with probability exactly 1
         u = random_clifford_circuit(3, 30, rng)
         t = tableau_from_circuit(u)
         td = tableau_dagger(u)
         for _ in range(20):
             q = conjugate_pauli(td, random_pauli(3, rng))
-            prep = prepare_input(q, rng, identity_mode="mixed")
-            assert acceptance_probability(t, t, q, prep) == 1.0
+            prep, eigenvalue = mixed_prep(q, rng)
+            psi = prep_statevector(prep)
+            qm = pauli_kron(q.letters(), q.sign())
+            assert np.allclose(qm @ psi, eigenvalue * psi, atol=1e-12)
+            q_tilde = conjugate_pauli_inverse(t, conjugate_pauli(t, q))
+            assert (1.0 + eigenvalue * expectation_on_prep(prep, q_tilde)) / 2.0 == 1.0
+
+    def test_sign_bits_off_support_rejected(self):
+        with pytest.raises(ValueError):
+            EigenstatePrep(PauliString.from_label("+XI"), 0b10)
 
 
 class TestAcceptanceProbability:
@@ -151,8 +189,7 @@ class TestAcceptanceProbability:
             analytic = acceptance_probability(
                 tableau_from_circuit(u), tableau_from_circuit(ut), q, prep
             )
-            psi = prep_statevector(prep).amplitudes
-            evolved = circuit_unitary(ut).matrix @ psi
+            evolved = circuit_unitary(ut).matrix @ prep_statevector(prep)
             e = np.vdot(evolved, pauli_kron(p.letters()) @ evolved).real
             assert analytic == pytest.approx((1 + prep.eigenvalue * e) / 2, abs=1e-9)
 
@@ -160,9 +197,10 @@ class TestAcceptanceProbability:
         c = random_clifford_circuit(2, 10, rng)
         t = tableau_from_circuit(c)
         q = PauliString.from_label("+XI")
-        bad_prep = prepare_input(PauliString.from_label("+IX"), rng)
         with pytest.raises(ValueError):
-            acceptance_probability(t, t, q, bad_prep)
+            acceptance_probability(t, t, q, prepare_input(PauliString.from_label("+IX"), rng))
+        with pytest.raises(ValueError):
+            acceptance_probability(t, t, q, prepare_input(-q, rng))
 
 
 def _match_signed_pauli(m: np.ndarray, n: int):
@@ -197,7 +235,7 @@ def detection_oracle(u: Circuit, ut: Circuit) -> float:
             it = iter(draw)
             for j, ch in enumerate(q_word):
                 if ch == "I":
-                    psi = np.kron(psi, ORACLE_STATES[(TPLUS, 1)])
+                    psi = np.kron(psi, ORACLE_STATES[("T+", 1)])
                 else:
                     s = next(it)
                     lam *= s
@@ -277,20 +315,28 @@ class TestRunOnce:
         box = CliffordBlackBox(u)
         prep = prepare_input(PauliString.identity(3), rng)
         assert prep.eigenvalue == 1
-        assert all(entry == (TPLUS, 1) for entry in prep.entries)
+        assert prep.signs == 0 and prep.q.weight() == 0  # every qubit in T+
         assert box.run_and_measure(prep, PauliString.identity(3), rng) == 1
 
+    def test_prep_width_mismatch(self, rng):
+        box = CliffordBlackBox(random_clifford_circuit(3, 10, rng))
+        prep = prepare_input(random_pauli(2, rng), rng)
+        with pytest.raises(DimensionMismatch):
+            box.measurement_expectation(prep, random_pauli(3, rng))
+
     def test_dense_mode_matches_analytic_expectation(self, rng):
+        # the black box's tableau expectation against a dense simulation
         u = random_clifford_circuit(3, 25, rng)
         analytic = CliffordBlackBox(u)
-        dense = CliffordBlackBox(u, mode="dense")
+        um = circuit_unitary(u).matrix
         other = random_clifford_circuit(3, 25, rng)
         td = tableau_dagger(other)
         for _ in range(25):
             p = random_pauli(3, rng)
             prep = prepare_input(conjugate_pauli(td, p), rng)
             ea = analytic.measurement_expectation(prep, p)
-            ed = dense.measurement_expectation(prep, p)
+            evolved = um @ prep_statevector(prep)
+            ed = np.vdot(evolved, pauli_kron(p.letters()) @ evolved).real
             assert ea == pytest.approx(ed, abs=1e-9)
 
     def test_empirical_detection_matches_exact(self, rng):

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import random_general_circuit
+from literal_protocols import (
+    literal_conditional_test_probability,
+    literal_inverse_test_probability,
+    literal_swap_test_probability,
+)
 from qverify.core import Circuit, custom_gate, gate
 from qverify.errors import CapabilityMissing, DimensionMismatch
 from qverify.metrics import one_gate_pair
 from qverify.protocols import (
     ALL_CAPABILITIES,
     BlackBoxUnitary,
-    literal_conditional_test_probability,
-    literal_inverse_test_probability,
-    literal_swap_test_probability,
     repeat_until_confident,
     run_conditional_test,
     run_inverse_test,

@@ -54,7 +54,6 @@ from .core import (
     dagger,
     embed_gate,
     gate,
-    maximally_entangled_state,
     zero_state,
 )
 from .metrics import (

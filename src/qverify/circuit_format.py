@@ -122,7 +122,11 @@ def emit_circuit(c: Circuit) -> str:
 
 def load_circuit(path) -> Circuit:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_circuit(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", None) from None
+    return parse_circuit(text)
 
 
 def save_circuit(c: Circuit, path) -> None:

@@ -323,7 +323,7 @@ def _checked(convert, accept, requirement: str):
     return parse
 
 
-_SHOTS = _checked(int, lambda v: v >= 0, ">= 0")
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _ODD_BATCH = _checked(int, lambda v: v >= 1 and v % 2 == 1, "odd and >= 1")
 _OPEN_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
@@ -337,7 +337,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if circuits:
             p.add_argument("--u", required=True, help="circuit file for U")
             p.add_argument("--ut", required=True, help="circuit file for Ut")
-        p.add_argument("--seed", type=int, default=None)
+        # argparse converts a string default, so a bad QVERIFY_SEED exits 2 too.
+        p.add_argument(
+            "--seed",
+            type=_NON_NEGATIVE,
+            default=os.environ.get("QVERIFY_SEED", "0"),
+            help="default: $QVERIFY_SEED, else 0",
+        )
         p.add_argument("--cap", type=int, default=DEFAULT_QUBIT_CAP)
         p.add_argument("--json", action="store_true")
 
@@ -345,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("swap-test", "conditional-test", "inverse-test"):
         p = sub.add_parser(name, help=f"sampled {name.replace('-', ' ')}")
         common(p)
-        p.add_argument("--shots", type=_SHOTS, default=1000)
+        p.add_argument("--shots", type=_NON_NEGATIVE, default=1000)
 
     p = sub.add_parser("production-line", help="winnow a simulated production line")
     p.add_argument("--ideal", required=True, help="ideal circuit file")
@@ -354,9 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=_ODD_BATCH, default=11)
     p.add_argument("--batches", type=_COUNT, default=1000)
     p.add_argument("--delta", type=_OPEN_UNIT, default=1e-4)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cap", type=int, default=DEFAULT_QUBIT_CAP)
-    p.add_argument("--json", action="store_true")
+    common(p, circuits=False)
 
     p = sub.add_parser("clifford-test", help="randomized Clifford equality test")
     common(p)
@@ -377,11 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = int(os.environ.get("QVERIFY_SEED", "0"))
-    config = RunConfig(command=args.command, seed=seed)
+    config = RunConfig(command=args.command, seed=args.seed)
     for name in (
         "cap",
         "shots",

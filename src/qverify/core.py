@@ -11,11 +11,11 @@ Conventions used throughout the package:
 * All dense arithmetic is complex128.  Construction-time unitarity and
   normalisation are checked to 1e-10; products of validated inputs are
   allowed a decade of accumulation slack (1e-9).
-* There is one dense kernel, ``_apply_gate_tensor``: a gate is
-  contracted into the qubit axes of a ``[2] * n (+ batch axes)``
-  tensor, so it costs O(2^k) per entry and is never embedded as a
-  2^n x 2^n matrix.  States and whole unitaries (an identity tensor
-  with the columns as one batch axis) are built this way.
+* There is one dense kernel, ``_contract``: a 2^k x 2^k matrix is
+  contracted into k qubit axes of a ``[2] * n (+ batch axes)`` tensor,
+  so it costs O(2^k) per entry and is never embedded as a 2^n x 2^n
+  matrix.  States and whole unitaries (an identity tensor with the
+  columns as one batch axis) are built this way.
 
 Dense objects are capped at ``DEFAULT_QUBIT_CAP`` qubits (configurable
 per call) to bound memory.  Everything here is immutable after
@@ -239,16 +239,17 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def _apply_gate_tensor(arr: np.ndarray, g: Gate, n_qubits: int) -> np.ndarray:
-    """Contract gate `g` into the first `n_qubits` axes of tensor `arr`.
+def _contract(arr: np.ndarray, matrix: np.ndarray, targets) -> np.ndarray:
+    """Contract a 2^k x 2^k `matrix` into the k `targets` axes of `arr`.
 
-    `arr` must have shape [2]*n_qubits + extra trailing axes; trailing
-    axes are carried along untouched (used to batch matrix columns).
+    The first target binds to the matrix's most significant bit.  Every
+    other axis of `arr` is carried along untouched (used to batch
+    matrix columns).
     """
-    k = g.n_targets
-    gt = g.unitary().reshape([2] * (2 * k))
-    out = np.tensordot(gt, arr, axes=(list(range(k, 2 * k)), list(g.targets)))
-    return np.moveaxis(out, list(range(k)), list(g.targets))
+    k = len(targets)
+    gt = matrix.reshape([2] * (2 * k))
+    out = np.tensordot(gt, arr, axes=(list(range(k, 2 * k)), list(targets)))
+    return np.moveaxis(out, list(range(k)), list(targets))
 
 
 def apply_gate(g: Gate, state: StateVector) -> StateVector:
@@ -257,7 +258,7 @@ def apply_gate(g: Gate, state: StateVector) -> StateVector:
     for t in g.targets:
         if t >= n:
             raise IndexOutOfRange(f"target {t} outside state of {n} qubits")
-    arr = _apply_gate_tensor(state.amplitudes.reshape([2] * n), g, n)
+    arr = _contract(state.amplitudes.reshape([2] * n), g.unitary(), g.targets)
     return StateVector(n, arr.reshape(-1))
 
 
@@ -270,7 +271,7 @@ def apply_circuit(c: Circuit, state: StateVector) -> StateVector:
     n = c.n_qubits
     arr = state.amplitudes.reshape([2] * n)
     for g in c.gates:
-        arr = _apply_gate_tensor(arr, g, n)
+        arr = _contract(arr, g.unitary(), g.targets)
     return StateVector(n, np.ascontiguousarray(arr).reshape(-1))
 
 
@@ -296,7 +297,7 @@ def circuit_unitary(c: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> UnitaryMatrix:
     dim = 2**n
     arr = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
     for g in c.gates:
-        arr = _apply_gate_tensor(arr, g, n)
+        arr = _contract(arr, g.unitary(), g.targets)
     return UnitaryMatrix(arr.reshape(dim, dim), tol=DERIVED_TOL)
 
 
@@ -321,16 +322,3 @@ def dagger(c: Circuit) -> Circuit:
             inv.append(g)
     return Circuit(c.n_qubits, tuple(inv))
 
-
-def maximally_entangled_state(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
-    """(1/sqrt(2^n)) sum_i |i>|i> on 2n qubits; qubit j pairs with qubit n+j.
-
-    Equals the state prepared by H on qubits 0..n-1 followed by
-    CNOT(j, n+j) for each j.
-    """
-    if 2 * n_qubits > cap:
-        raise CapExceeded(f"{2 * n_qubits} qubits exceeds dense cap {cap}")
-    d = 2**n_qubits
-    amps = np.zeros(d * d, dtype=complex)
-    amps[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
-    return StateVector(2 * n_qubits, amps)

@@ -34,7 +34,14 @@ from .errors import CapExceeded, DimensionMismatch, IndexOutOfRange, TargetMisma
 
 
 def _clamp01(v: float) -> float:
-    return min(1.0, max(0.0, v))
+    # Snap to the exact boundary: equal circuits must never fire (the
+    # tests are one-sided), but rounding leaves p ~ 1e-16 after the
+    # overlap computation.
+    if v < 1e-12:
+        return 0.0
+    if v > 1.0 - 1e-12:
+        return 1.0
+    return v
 
 
 def _check_same_dim(u: UnitaryMatrix, ut: UnitaryMatrix) -> None:

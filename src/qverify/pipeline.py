@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import DEFAULT_QUBIT_CAP, Circuit, circuit_unitary
 from .errors import DomainError, EvenBatch
-from .metrics import worst_distance
+from .metrics import _clamp01, worst_distance
 from .seeding import rng_from_seed
 
 
@@ -87,7 +87,7 @@ class SwapShotTester:
     def shot_probability(self, a: Circuit, b: Circuit) -> float:
         ua, ub = self._unitary(a), self._unitary(b)
         overlap = complex(np.vdot(ua, ub)) / ua.shape[0]
-        return min(1.0, max(0.0, 0.5 - 0.5 * abs(overlap) ** 2))
+        return _clamp01(0.5 - 0.5 * abs(overlap) ** 2)
 
     def verdict(self, a: Circuit, b: Circuit, rng: np.random.Generator) -> bool:
         return bool(rng.random() < self.shot_probability(a, b))

@@ -2,10 +2,14 @@
 
 The protocols never read a wrapped circuit's gate list; they only use
 the access modes the black box grants (plain application, conditional
-application, or application of the inverse).  Shot outcomes are drawn
-from the analytically computed Bernoulli parameter, which has exactly
-the same distribution as simulating the full test circuit shot by
-shot but keeps 10^5-shot runs instant.
+application, or application of the inverse).  The box builds its
+dense unitary U for each use, and every access mode contracts U (or
+U^dag) into the listed qubits of a state.  Each protocol fires with a
+probability that depends only on the overlap v = Tr(U^dag Ut) / 2^n,
+so protocols run on circuits of up to `cap` qubits, like `distance`.
+Shot outcomes are drawn from that analytic Bernoulli parameter, which
+has exactly the same distribution as simulating the full test
+circuit shot by shot but keeps 10^5-shot runs instant.
 """
 
 from __future__ import annotations
@@ -19,50 +23,19 @@ import numpy as np
 from .core import (
     DEFAULT_QUBIT_CAP,
     Circuit,
-    Gate,
-    GateKind,
     StateVector,
-    _apply_gate_tensor,
-    dagger,
-    maximally_entangled_state,
+    UnitaryMatrix,
+    _contract,
+    circuit_unitary,
 )
 from .errors import CapabilityMissing, DimensionMismatch, IndexOutOfRange
+from .metrics import _clamp01, trace_overlap
 from .seeding import rng_from_seed
 
 CAP_PLAIN = "plain"
 CAP_CONDITIONAL = "conditional"
 CAP_INVERSE = "inverse"
 ALL_CAPABILITIES = frozenset({CAP_PLAIN, CAP_CONDITIONAL, CAP_INVERSE})
-
-
-def _retarget(g: Gate, qubits: Sequence[int]) -> Gate:
-    return Gate(g.kind, tuple(qubits[t] for t in g.targets), g.matrix)
-
-
-def _controlled_matrix(g: Gate, on_value: int) -> np.ndarray:
-    m = g.unitary()
-    d = m.shape[0]
-    out = np.eye(2 * d, dtype=complex)
-    if on_value == 1:
-        out[d:, d:] = m
-    else:
-        out[:d, :d] = m
-    return out
-
-
-def apply_circuit_to(c: Circuit, state: StateVector, qubits: Sequence[int]) -> StateVector:
-    """Apply an n-qubit circuit to the listed qubits of a wider state."""
-    if len(qubits) != c.n_qubits or len(set(qubits)) != len(qubits):
-        raise DimensionMismatch(
-            f"circuit on {c.n_qubits} qubits cannot bind to targets {tuple(qubits)}"
-        )
-    n = state.n_qubits
-    if any(q >= n or q < 0 for q in qubits):
-        raise IndexOutOfRange(f"targets {tuple(qubits)} outside state of {n} qubits")
-    arr = state.amplitudes.reshape([2] * n)
-    for g in c.gates:
-        arr = _apply_gate_tensor(arr, _retarget(g, qubits), n)
-    return StateVector(n, np.ascontiguousarray(arr).reshape(-1))
 
 
 class BlackBoxUnitary:
@@ -92,16 +65,21 @@ class BlackBoxUnitary:
         if capability not in self._capabilities:
             raise CapabilityMissing(f"black box does not grant {capability!r}")
 
+    def _unitary(self, capability: str, cap: int = DEFAULT_QUBIT_CAP) -> UnitaryMatrix:
+        """The hidden unitary, for callers holding `capability`."""
+        self.require(capability)
+        return circuit_unitary(self.__circuit, cap=cap)
+
     def apply(self, state: StateVector, qubits: Sequence[int] | None = None) -> StateVector:
         """Run the hidden unitary on the listed qubits (default: first n)."""
-        self.require(CAP_PLAIN)
-        return _apply_hidden(self, state, qubits)
+        u = self._unitary(CAP_PLAIN).matrix
+        qs = self._targets(state, qubits)
+        return _state(_contract(_tensor(state), u, qs))
 
     def apply_inverse(self, state: StateVector, qubits: Sequence[int] | None = None) -> StateVector:
-        self.require(CAP_INVERSE)
-        return apply_circuit_to(
-            dagger(self.__circuit), state, self._default_qubits(qubits)
-        )
+        u = self._unitary(CAP_INVERSE).matrix
+        qs = self._targets(state, qubits)
+        return _state(_contract(_tensor(state), u.conj().T, qs))
 
     def apply_conditional(
         self,
@@ -111,37 +89,33 @@ class BlackBoxUnitary:
         qubits: Sequence[int] | None = None,
     ) -> StateVector:
         """Run the hidden unitary conditioned on a control qubit's value."""
-        self.require(CAP_CONDITIONAL)
-        qs = self._default_qubits(qubits)
-        if control in qs:
-            raise IndexOutOfRange(f"control {control} overlaps targets {qs}")
-        n = state.n_qubits
-        arr = state.amplitudes.reshape([2] * n)
-        for g in self.__circuit.gates:
-            mapped = _retarget(g, qs)
-            cg = Gate(
-                GateKind.CUSTOM,
-                (control,) + mapped.targets,
-                _controlled_matrix(mapped, on_value),
+        u = self._unitary(CAP_CONDITIONAL).matrix
+        qs = self._targets(state, qubits)
+        if control in qs or not 0 <= control < state.n_qubits:
+            raise IndexOutOfRange(f"control {control} must be a free qubit, not in {qs}")
+        # Only the control = on_value slice moves; it lacks the control axis.
+        arr = np.array(_tensor(state))
+        branch = (slice(None),) * control + (on_value,)
+        arr[branch] = _contract(arr[branch], u, [q - (q > control) for q in qs])
+        return _state(arr)
+
+    def _targets(self, state: StateVector, qubits: Sequence[int] | None) -> tuple[int, ...]:
+        qs = tuple(qubits) if qubits is not None else tuple(range(self.n_qubits))
+        if len(qs) != self.n_qubits or len(set(qs)) != len(qs):
+            raise DimensionMismatch(
+                f"circuit on {self.n_qubits} qubits cannot bind to targets {qs}"
             )
-            arr = _apply_gate_tensor(arr, cg, n)
-        return StateVector(n, np.ascontiguousarray(arr).reshape(-1))
-
-    def _default_qubits(self, qubits: Sequence[int] | None) -> tuple[int, ...]:
-        return tuple(qubits) if qubits is not None else tuple(range(self.n_qubits))
+        if any(not 0 <= q < state.n_qubits for q in qs):
+            raise IndexOutOfRange(f"targets {qs} outside state of {state.n_qubits} qubits")
+        return qs
 
 
-def _hidden_circuit(box: BlackBoxUnitary) -> Circuit:
-    # Module-internal: the simulation backend may read the circuit, the
-    # protocol layer may not.
-    return box._BlackBoxUnitary__circuit
+def _tensor(state: StateVector) -> np.ndarray:
+    return state.amplitudes.reshape([2] * state.n_qubits)
 
 
-def _apply_hidden(
-    box: BlackBoxUnitary, state: StateVector, qubits: Sequence[int] | None = None
-) -> StateVector:
-    qs = tuple(qubits) if qubits is not None else tuple(range(box.n_qubits))
-    return apply_circuit_to(_hidden_circuit(box), state, qs)
+def _state(arr: np.ndarray) -> StateVector:
+    return StateVector(arr.ndim, np.ascontiguousarray(arr).reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -180,28 +154,6 @@ def _outcome(protocol: str, shots: int, p: float, seed: int) -> ProtocolOutcome:
     )
 
 
-def _clamp01(v: float) -> float:
-    # Snap to the exact boundary: equal circuits must never fire (the
-    # tests are one-sided), but rounding leaves p ~ 1e-16 after the
-    # overlap computation.
-    if v < 1e-12:
-        return 0.0
-    if v > 1.0 - 1e-12:
-        return 1.0
-    return v
-
-
-def _choi_overlap(u: BlackBoxUnitary, ut: BlackBoxUnitary, cap: int) -> complex:
-    """<psi_U|psi_Ut> where psi = (box x I) applied to n EPR pairs."""
-    if u.n_qubits != ut.n_qubits:
-        raise DimensionMismatch(f"{u.n_qubits} vs {ut.n_qubits} qubits")
-    n = u.n_qubits
-    mes = maximally_entangled_state(n, cap=cap)
-    psi_u = _apply_hidden(u, mes, range(n))
-    psi_ut = _apply_hidden(ut, mes, range(n))
-    return complex(np.vdot(psi_u.amplitudes, psi_ut.amplitudes))
-
-
 def run_swap_test(
     u: BlackBoxUnitary,
     ut: BlackBoxUnitary,
@@ -213,10 +165,8 @@ def run_swap_test(
 
     Phase-blind: Ut = e^(i theta) U gives p = 0.
     """
-    u.require(CAP_PLAIN)
-    ut.require(CAP_PLAIN)
-    overlap = _choi_overlap(u, ut, cap)
-    p = _clamp01(0.5 - 0.5 * abs(overlap) ** 2)
+    v = trace_overlap(u._unitary(CAP_PLAIN, cap), ut._unitary(CAP_PLAIN, cap))
+    p = _clamp01(0.5 - 0.5 * abs(v) ** 2)
     return _outcome("swap", shots, p, seed)
 
 
@@ -231,10 +181,8 @@ def run_conditional_test(
 
     Unlike the swap test this sees the relative phase: p(U, -U) = 1.
     """
-    u.require(CAP_CONDITIONAL)
-    ut.require(CAP_CONDITIONAL)
-    overlap = _choi_overlap(u, ut, cap)
-    p = _clamp01(0.5 - 0.5 * overlap.real)
+    v = trace_overlap(u._unitary(CAP_CONDITIONAL, cap), ut._unitary(CAP_CONDITIONAL, cap))
+    p = _clamp01(0.5 - 0.5 * v.real)
     return _outcome("conditional", shots, p, seed)
 
 
@@ -251,15 +199,8 @@ def run_inverse_test(
     a black box.  Per shot the all-zeros check fails with probability
     D(U, Ut)^2.
     """
-    ut.require(CAP_PLAIN)
-    if u.n_qubits != ut.n_qubits:
-        raise DimensionMismatch(f"{u.n_qubits} vs {ut.n_qubits} qubits")
-    n = u.n_qubits
-    mes = maximally_entangled_state(n, cap=cap)
-    state = _apply_hidden(ut, mes, range(n))
-    state = apply_circuit_to(dagger(u), state, range(n))
-    p_zero = abs(np.vdot(mes.amplitudes, state.amplitudes)) ** 2
-    p = _clamp01(1.0 - p_zero)
+    v = trace_overlap(circuit_unitary(u, cap=cap), ut._unitary(CAP_PLAIN, cap))
+    p = _clamp01(1.0 - abs(v) ** 2)
     return _outcome("inverse", shots, p, seed)
 
 

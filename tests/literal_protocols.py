@@ -5,16 +5,16 @@ pairs, the black box on its register, the final interference) and
 reads the probability of output 1.  The library samples from a
 closed-form Bernoulli parameter instead; these are the small-n
 cross-checks for it.  The black boxes are used only through their
-public `apply` and `apply_conditional`.
+public `apply`, `apply_conditional` and `apply_inverse`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qverify.core import Circuit, Gate, GateKind, StateVector, apply_gate, dagger, zero_state
+from qverify.core import Circuit, Gate, GateKind, StateVector, apply_gate, zero_state
 from qverify.errors import DimensionMismatch
-from qverify.protocols import BlackBoxUnitary, apply_circuit_to
+from qverify.protocols import CAP_INVERSE, BlackBoxUnitary
 
 _CSWAP = np.eye(8, dtype=complex)
 _CSWAP[[5, 6]] = _CSWAP[[6, 5]]
@@ -75,7 +75,7 @@ def literal_inverse_test_probability(u: Circuit, ut: BlackBoxUnitary) -> float:
     state = zero_state(2 * n)
     state = _entangle(state, 0, n)
     state = ut.apply(state, range(n))
-    state = apply_circuit_to(dagger(u), state, range(n))
+    state = BlackBoxUnitary(u, {CAP_INVERSE}).apply_inverse(state, range(n))
     # Undo the entangling preparation and read P(not all zeros).
     for j in reversed(range(n)):
         state = apply_gate(Gate(GateKind.CNOT, (j, n + j)), state)

@@ -215,6 +215,7 @@ class TestErrorHandling:
         "argv",
         [
             ["swap-test", "--u", "u", "--ut", "u", "--shots", "-5"],
+            ["swap-test", "--u", "u", "--ut", "u", "--seed", "-1"],
             ["clifford-test", "--u", "u", "--ut", "u", "--runs", "0"],
             ["fidelity-bound", "--runs", "0"],
             ["find-error", "--u", "u", "--ut", "u", "--runs-per-candidate", "0"],
@@ -228,7 +229,7 @@ class TestErrorHandling:
             ["fidelity-bound", "--n", "0"],
             ["fidelity-bound", "--n", "-2"],
         ],
-        ids=["shots", "runs", "fidelity-runs", "runs-per-candidate", "delta-0", "delta-1",
+        ids=["shots", "seed-negative", "runs", "fidelity-runs", "runs-per-candidate", "delta-0", "delta-1",
              "batch-even", "batch-negative", "batches-negative", "depth-3", "depth-0",
              "n-0", "n-negative"],
     )
@@ -237,6 +238,22 @@ class TestErrorHandling:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: argument " + argv[-2]) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_seed_environment_exit_two_one_line(self, files, capsys, monkeypatch, value):
+        monkeypatch.setenv("QVERIFY_SEED", value)
+        assert main(["swap-test", "--u", files["u"], "--ut", files["u"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --seed") and err.count("\n") == 1
+
+    def test_non_utf8_file_exit_two_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.qc"
+        bad.write_bytes(b"QUBITS 1\n# caf\xe9\nH 0\n")
+        with pytest.raises(ParseError):
+            load_circuit(bad)
+        assert main(["distance", "--u", str(bad), "--ut", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_usage_error(self, capsys):
         assert main(["distance"]) == 2

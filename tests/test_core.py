@@ -1,4 +1,4 @@
-"""Core simulation substrate: embedding, application, dagger, entangled state."""
+"""Core simulation substrate: embedding, application, dagger."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from qverify.core import (
     dagger,
     embed_gate,
     gate,
-    maximally_entangled_state,
     zero_state,
 )
 from qverify.errors import (
@@ -170,40 +169,6 @@ class TestDagger:
             u = circuit_unitary(c).matrix
             udd = circuit_unitary(dagger(dagger(c))).matrix
             assert np.max(np.abs(udd - u)) <= 1e-9
-
-
-class TestMaximallyEntangledState:
-    def test_one_pair(self):
-        s = maximally_entangled_state(1)
-        assert np.allclose(s.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-12)
-
-    def test_two_pairs_support(self):
-        s = maximally_entangled_state(2)
-        expected = np.zeros(16, dtype=complex)
-        expected[[0, 5, 10, 15]] = 0.5
-        assert np.allclose(s.amplitudes, expected, atol=1e-12)
-
-    def test_equals_h_cnot_preparation(self):
-        n = 2
-        prep = Circuit(
-            2 * n,
-            tuple(gate("H", j) for j in range(n))
-            + tuple(gate("CNOT", j, n + j) for j in range(n)),
-        )
-        prepared = apply_circuit(prep, zero_state(2 * n))
-        assert np.allclose(prepared.amplitudes, maximally_entangled_state(n).amplitudes, atol=1e-12)
-
-    def test_reduced_state_maximally_mixed(self):
-        s = maximally_entangled_state(2)
-        for q in range(4):
-            for letter in "XYZ":
-                word = "".join(letter if j == q else "I" for j in range(4))
-                expectation = np.vdot(s.amplitudes, pauli_kron(word) @ s.amplitudes)
-                assert abs(expectation) < 1e-12
-
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            maximally_entangled_state(7)
 
 
 class TestValidation:

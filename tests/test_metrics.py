@@ -139,6 +139,12 @@ class TestDetectionProbabilities:
         assert report.p_swap == pytest.approx(0.0, abs=1e-12)
         assert report.p_conditional == pytest.approx(0.0, abs=1e-9)
 
+    def test_equal_circuits_report_exact_zero(self, rng):
+        for _ in range(30):
+            c = random_general_circuit(int(rng.integers(1, 6)), 20, rng, custom_prob=0.2)
+            report = detection_probabilities(circuit_unitary(c), circuit_unitary(c))
+            assert (report.p_swap, report.p_conditional, report.ent_fidelity) == (0.0, 0.0, 1.0)
+
     def test_negated_pair(self, rng):
         u = haar_unitary(4, rng)
         report = detection_probabilities(UnitaryMatrix(u), UnitaryMatrix(-u))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_general_circuit
 from qverify.core import Circuit, gate
 from qverify.errors import DomainError, EvenBatch
 from qverify.metrics import one_gate_pair
@@ -145,6 +146,20 @@ class TestMajorityTester:
             majority_tester(_SyntheticBase(0.5), delta=0.0)
         with pytest.raises(DomainError):
             majority_tester(_SyntheticBase(0.5), delta=1.0)
+
+
+class TestSwapShotTester:
+    def test_equal_circuits_never_fire(self, rng):
+        # Rounding leaves 0.5 - 0.5 |v|^2 at ~1e-15 on equal pairs; the
+        # one-sided tester must report exactly 0.
+        tester = SwapShotTester()
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            c = random_general_circuit(n, 20, rng, custom_prob=0.2)
+            q = int(rng.integers(0, n))
+            padded = Circuit(n, c.gates + (gate("H", q), gate("H", q)))
+            assert tester.shot_probability(c, c) == 0.0
+            assert tester.shot_probability(c, padded) == 0.0
 
 
 class _OracleTester:

@@ -9,9 +9,9 @@ from literal_protocols import (
     literal_inverse_test_probability,
     literal_swap_test_probability,
 )
-from qverify.core import Circuit, custom_gate, gate
-from qverify.errors import CapabilityMissing, DimensionMismatch
-from qverify.metrics import one_gate_pair
+from qverify.core import DEFAULT_QUBIT_CAP, Circuit, circuit_unitary, custom_gate, gate
+from qverify.errors import CapabilityMissing, CapExceeded, DimensionMismatch
+from qverify.metrics import detection_probabilities, one_gate_pair
 from qverify.protocols import (
     ALL_CAPABILITIES,
     BlackBoxUnitary,
@@ -124,6 +124,32 @@ class TestInverseTest:
         assert out.analytic_p == pytest.approx(expected, abs=1e-12)
         sigma = np.sqrt(expected * (1 - expected) / shots)
         assert abs(out.ones_observed / shots - expected) <= 3 * sigma
+
+
+class TestQubitCap:
+    """The protocols reach n = cap, like `distance`, and stop beyond it."""
+
+    def test_n7_matches_detection_probabilities(self, rng):
+        tail = random_general_circuit(7, 30, rng, custom_prob=0.2)
+        u, ut = one_gate_pair(Circuit(7, (gate("H", 3),) + tail.gates), 0, gate("T", 3))
+        report = detection_probabilities(circuit_unitary(u), circuit_unitary(ut))
+        assert report.p_swap > 0.01
+        swap = run_swap_test(box(u), box(ut), shots=10, seed=1).analytic_p
+        conditional = run_conditional_test(box(u), box(ut), shots=10, seed=1).analytic_p
+        inverse = run_inverse_test(u, box(ut), shots=10, seed=1).analytic_p
+        assert swap == pytest.approx(report.p_swap, abs=1e-12)
+        assert conditional == pytest.approx(report.p_conditional, abs=1e-12)
+        assert inverse == pytest.approx(1 - report.ent_fidelity, abs=1e-12)
+
+    @pytest.mark.parametrize("n, cap", [(7, 6), (DEFAULT_QUBIT_CAP + 1, DEFAULT_QUBIT_CAP)])
+    def test_cap_plus_one_raises(self, n, cap):
+        c = Circuit(n, (gate("H", 0),))
+        with pytest.raises(CapExceeded):
+            run_swap_test(box(c), box(c), 10, 1, cap=cap)
+        with pytest.raises(CapExceeded):
+            run_conditional_test(box(c), box(c), 10, 1, cap=cap)
+        with pytest.raises(CapExceeded):
+            run_inverse_test(c, box(c), 10, 1, cap=cap)
 
 
 class TestLiteralSimulations:

@@ -30,7 +30,7 @@ from .cliffordtest import (
     one_qubit_clifford_circuits,
 )
 from .clifford import random_clifford_circuit, tableau_equal, tableau_from_circuit
-from .core import DEFAULT_QUBIT_CAP, Circuit, Gate, GateKind, circuit_unitary
+from .core import DEFAULT_QUBIT_CAP, Circuit, Gate, GateKind, UnitaryMatrix, circuit_unitary
 from .errors import CandidateNotFound, QverifyError
 from .metrics import detection_probabilities, one_gate_pair, theorem1, worst_distance
 from .pipeline import FactoryModel, simulate_production
@@ -43,8 +43,9 @@ from .protocols import (
 )
 from .seeding import rng_from_seed
 
-# Circuits whose average distance falls below this are reported equal;
-# sqrt amplifies rounding in |trace overlap| ~ 1 - 1e-13 to ~1e-6.
+# Circuits whose average distance falls below this are reported equal.
+# D now comes from the phase-aligned residual (exactly 0 on equal
+# pairs); the margin is kept until it is derived from that residual.
 EQUALITY_TOL = 1e-5
 
 
@@ -152,9 +153,12 @@ _REVERSED_CNOT = np.array(
 )
 
 
-def _fault_options(ideal: Circuit, eps: float, cap: int) -> list[Circuit]:
-    """All single-gate replacements of `ideal` at worst-case distance >= eps."""
-    ideal_u = circuit_unitary(ideal, cap=cap)
+def _fault_options(ideal: Circuit, eps: float) -> list[Circuit]:
+    """All single-gate replacements of `ideal` at worst-case distance >= eps.
+
+    By the transfer identity Dmax(U, Ut) = Dmax(G, Gt), each replacement
+    is screened on the two gate matrices; no circuit unitary is built.
+    """
     options = []
     for pos, g in enumerate(ideal.gates):
         if g.kind is GateKind.CNOT:
@@ -163,16 +167,16 @@ def _fault_options(ideal: Circuit, eps: float, cap: int) -> list[Circuit]:
             continue
         else:
             alternatives = [Gate(k, g.targets) for k in _FAULT_ALPHABET if k is not g.kind]
+        original = UnitaryMatrix(g.unitary())
         for alt in alternatives:
-            faulty = one_gate_pair(ideal, pos, alt)[1]
-            if worst_distance(ideal_u, circuit_unitary(faulty, cap=cap), cap=cap) >= eps - 1e-9:
-                options.append(faulty)
+            if worst_distance(original, UnitaryMatrix(alt.unitary())) >= eps - 1e-9:
+                options.append(one_gate_pair(ideal, pos, alt)[1])
     return options
 
 
 def _cmd_production_line(config: RunConfig) -> tuple[int, dict]:
     ideal = load_circuit(config.u_path)
-    options = _fault_options(ideal, config.eps, config.cap)
+    options = _fault_options(ideal, config.eps)
     if not options:
         raise QverifyError(
             f"no single-gate replacement of the ideal circuit reaches eps={config.eps}"
@@ -327,6 +331,8 @@ _NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _ODD_BATCH = _checked(int, lambda v: v >= 1 and v % 2 == 1, "odd and >= 1")
 _OPEN_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+# Dmax <= 1, and eps <= 0 would admit every replacement.
+_DISTANCE = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -356,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("production-line", help="winnow a simulated production line")
     p.add_argument("--ideal", required=True, help="ideal circuit file")
     p.add_argument("--fault-prob", type=float, default=0.1)
-    p.add_argument("--eps", type=float, default=0.5)
+    p.add_argument("--eps", type=_DISTANCE, default=0.5)
     p.add_argument("--batch", type=_ODD_BATCH, default=11)
     p.add_argument("--batches", type=_COUNT, default=1000)
     p.add_argument("--delta", type=_OPEN_UNIT, default=1e-4)

@@ -78,6 +78,11 @@ for _m in FIXED_GATE_MATRICES.values():
 _GATE_ARITY = {k: 1 for k in GateKind}
 _GATE_ARITY[GateKind.CNOT] = 2
 
+# Hashes are built from numbers only, so they do not depend on the
+# process's string-hash seed: a circuit's cached hash stays valid when
+# it is pickled to another process.
+_KIND_CODE = {k: i for i, k in enumerate(GateKind)}
+
 
 def _check_unitary(m: np.ndarray, tol: float) -> None:
     d = m.shape[0]
@@ -110,6 +115,12 @@ class Gate:
         if self.kind is GateKind.CUSTOM:
             return np.array_equal(self.matrix, other.matrix)
         return True
+
+    def __hash__(self):
+        # Python floats hash -0.0 like 0.0, as np.array_equal compares
+        # them; the raw bytes would not.
+        entries = tuple(self.matrix.ravel().tolist()) if self.kind is GateKind.CUSTOM else ()
+        return hash((_KIND_CODE[self.kind], self.targets, entries))
 
     def __post_init__(self):
         object.__setattr__(self, "kind", GateKind(self.kind))
@@ -176,6 +187,15 @@ class Circuit:
                     raise IndexOutOfRange(
                         f"target {t} outside circuit of {self.n_qubits} qubits"
                     )
+
+    def __hash__(self):
+        # Computed once per object: circuits key the production line's tables.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.n_qubits, self.gates))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     @property
     def n_gates(self) -> int:

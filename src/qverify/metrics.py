@@ -55,10 +55,21 @@ def trace_overlap(u: UnitaryMatrix, ut: UnitaryMatrix) -> complex:
     return complex(np.vdot(u.matrix, ut.matrix)) / u.dim
 
 
+def _avg_distance_sq(u: UnitaryMatrix, ut: UnitaryMatrix, v: complex) -> float:
+    """D^2 = (1 - |v|)(1 + |v|) for the overlap v of (u, ut).
+
+    1 - |v| comes from the phase-aligned residual ||U - e^{-i arg v} V||_F^2 / 2d,
+    which stays accurate relative to its own size as V -> U, where
+    1 - |v|^2 is left with rounding of order 1e-16 (and D with 1e-8).
+    """
+    modulus = abs(v)
+    residual = u.matrix - (v.conjugate() / modulus if modulus else 1.0) * ut.matrix
+    return float(np.vdot(residual, residual).real) / (2 * u.dim) * (1.0 + modulus)
+
+
 def avg_distance(u: UnitaryMatrix, ut: UnitaryMatrix) -> float:
     """sqrt(1 - |trace_overlap|^2), the average-case distance D."""
-    v = trace_overlap(u, ut)
-    return math.sqrt(max(0.0, 1.0 - abs(v) ** 2))
+    return math.sqrt(_avg_distance_sq(u, ut, trace_overlap(u, ut)))
 
 
 def worst_distance(u: UnitaryMatrix, ut: UnitaryMatrix, cap: int = DEFAULT_QUBIT_CAP) -> float:
@@ -98,13 +109,13 @@ def detection_probabilities(
 ) -> DistanceReport:
     """Populate a DistanceReport for the pair (u, ut)."""
     v = trace_overlap(u, ut)
-    d = math.sqrt(max(0.0, 1.0 - abs(v) ** 2))
+    d2 = _avg_distance_sq(u, ut, v)
     return DistanceReport(
         trace_overlap=v,
-        avg_distance=_clamp01(d),
+        avg_distance=_clamp01(math.sqrt(d2)),
         worst_distance=worst_distance(u, ut, cap=cap),
         ent_fidelity=_clamp01(abs(v) ** 2),
-        p_swap=_clamp01(d * d / 2.0),
+        p_swap=_clamp01(d2 / 2.0),
         p_conditional=_clamp01(0.5 - v.real / 2.0),
     )
 

@@ -7,12 +7,20 @@ circuit losing more than half of its comparisons is discarded.  As
 long as fewer than half the batch is faulty - which fails with
 probability at most exp(-KL(1/2 || f) * n) - an error-free pairwise
 tester removes exactly the faulty circuits.
+
+The swap-shot tester keys circuits by content: each distinct circuit
+gets one row of a table of pair probabilities and one unitary, built
+on first sight, so the work and memory of a run grow with the number
+of distinct circuits, not with the number of batches.  A batch tested
+through a majority wrapper over that tester costs one table lookup and
+one vectorised binomial draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -54,6 +62,15 @@ def batch_failure_bound(f: float, n: int) -> float:
     return math.exp(-kl_divergence_binary(0.5, f) * n)
 
 
+@lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs i < j of n items, row-major."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 class PairwiseTester(Protocol):
     """Verdict True means 'not equal'."""
 
@@ -66,8 +83,13 @@ class PairwiseTester(Protocol):
 class SwapShotTester:
     """Base tester: a single swap-test shot per pair.
 
-    One-sided: equal circuits never fire.  Unitaries are cached per
-    circuit object so repeated batch members cost one simulation.
+    One-sided: equal circuits never fire.  Circuits are keyed by
+    content, so equal circuits built separately share one table row and
+    one unitary.  `pair_probabilities` reads a batch's pairs from a table
+    over those rows, filling an entry by `shot_probability` the first
+    time its pair is seen; unitaries are built only there.  Under a
+    majority wrapper, `winnow_batch` draws the whole batch from that
+    table with one binomial call.
     """
 
     one_sided = True
@@ -75,19 +97,39 @@ class SwapShotTester:
 
     def __init__(self, cap: int = DEFAULT_QUBIT_CAP):
         self._cap = cap
-        self._cache: dict[int, tuple[Circuit, np.ndarray]] = {}
+        self._rows: dict[Circuit, int] = {}
+        self._unitaries: dict[int, np.ndarray] = {}
+        self._table = np.empty((0, 0))  # shot probability by (row, row); nan until seen
+
+    def _row(self, c: Circuit) -> int:
+        row = self._rows.setdefault(c, len(self._rows))
+        size = len(self._table)
+        if row == size:
+            grown = np.full((2 * size + 1, 2 * size + 1), np.nan)
+            grown[:size, :size] = self._table
+            self._table = grown
+        return row
 
     def _unitary(self, c: Circuit) -> np.ndarray:
-        entry = self._cache.get(id(c))
-        if entry is None or entry[0] is not c:
-            entry = (c, circuit_unitary(c, cap=self._cap).matrix)
-            self._cache[id(c)] = entry
-        return entry[1]
+        row = self._row(c)
+        if row not in self._unitaries:
+            self._unitaries[row] = circuit_unitary(c, cap=self._cap).matrix
+        return self._unitaries[row]
 
     def shot_probability(self, a: Circuit, b: Circuit) -> float:
         ua, ub = self._unitary(a), self._unitary(b)
         overlap = complex(np.vdot(ua, ub)) / ua.shape[0]
         return _clamp01(0.5 - 0.5 * abs(overlap) ** 2)
+
+    def pair_probabilities(self, batch: Sequence[Circuit]) -> np.ndarray:
+        """Shot probabilities of the pairs i < j of `batch`, in row-major order."""
+        ids = np.array([self._row(c) for c in batch])
+        i, j = _pairs(len(batch))
+        a, b = ids[i], ids[j]
+        for k in np.flatnonzero(np.isnan(self._table[a, b])):
+            if np.isnan(self._table[a[k], b[k]]):  # an earlier pair may have filled it
+                self._table[a[k], b[k]] = self.shot_probability(batch[i[k]], batch[j[k]])
+        return self._table[a, b]
 
     def verdict(self, a: Circuit, b: Circuit, rng: np.random.Generator) -> bool:
         return bool(rng.random() < self.shot_probability(a, b))
@@ -118,9 +160,13 @@ class MajorityTester:
             fires = int(rng.binomial(r, self.base.shot_probability(a, b)))
         else:
             fires = sum(bool(self.base.verdict(a, b, rng)) for _ in range(r))
+        return bool(self._decide(fires))
+
+    def _decide(self, fires):
+        """'Not equal' for a count (or array of counts) of base runs that fired."""
         if self.one_sided:
             return fires > 0
-        return fires > r / 2
+        return fires > self.majority_runs / 2
 
 
 def majority_tester(base, delta: float, repetition_constant: float = 18.0) -> MajorityTester:
@@ -190,11 +236,20 @@ def winnow_batch(
     n = len(batch)
     if n % 2 == 0:
         raise EvenBatch(f"batch size must be odd, got {n}")
+    rows, cols = _pairs(n)
+    base = getattr(tester, "base", None)
+    drawn = isinstance(tester, MajorityTester) and hasattr(base, "pair_probabilities")
+    if drawn and base.repetitions == 1:
+        # One binomial draw for all pairs: numpy draws an array in the
+        # same stream, and so to the same counts, as one draw per pair.
+        p = base.pair_probabilities(batch)
+        verdicts = tester._decide(rng.binomial(tester.majority_runs, p))
+    else:
+        pairs = zip(rows.tolist(), cols.tolist())
+        verdicts = [tester.verdict(batch[i], batch[j], rng) for i, j in pairs]
     table = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = tester.verdict(batch[i], batch[j], rng)
-            table[i, j] = table[j, i] = v
+    table[rows, cols] = verdicts
+    table |= table.T
     counts = table.sum(axis=1)
     discarded = tuple(i for i in range(n) if counts[i] > (n - 1) // 2)
     kept = tuple(i for i in range(n) if counts[i] <= (n - 1) // 2)

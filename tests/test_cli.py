@@ -1,14 +1,19 @@
 """CLI surface: exit codes, JSON reports, reproducibility."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from qverify import pipeline
+from conftest import random_general_circuit
+from qverify import cli, pipeline
 from qverify.circuit_format import load_circuit, save_circuit
 from qverify.cli import main
-from qverify.core import Circuit, gate
+from qverify.core import Circuit, Gate, GateKind, circuit_unitary, gate
 from qverify.errors import ParseError
+from qverify.metrics import one_gate_pair, worst_distance
 
 BELL = Circuit(2, (gate("H", 0), gate("CNOT", 0, 1)))
 BELL_SHIFTED = Circuit(2, (gate("H", 0), gate("CNOT", 0, 1), gate("X", 0)))
@@ -47,7 +52,7 @@ class TestDistanceCommand:
     def test_identical_files_exit_zero(self, files, capsys):
         code, report = run_json(capsys, "distance", "--u", files["u"], "--ut", files["u"])
         assert code == 0
-        # sqrt turns the ~1e-16 overlap rounding into ~1e-8
+        # exactly 0 since D uses the phase-aligned residual; the bound predates it
         assert report["avg_distance"] == pytest.approx(0.0, abs=1e-6)
         assert report["verdict"] == "equal"
 
@@ -157,6 +162,59 @@ class TestCliffordCommands:
         assert report["bound_holds"] is True
 
 
+def _load_benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, which writes the benchmark's circuit files."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _fault_options_by_circuit_unitary(ideal, eps):
+    """The fault options screened on the full circuit unitaries."""
+    ideal_u = circuit_unitary(ideal)
+    options = []
+    for pos, g in enumerate(ideal.gates):
+        if g.kind is GateKind.CNOT:
+            alternatives = [Gate(GateKind.CUSTOM, g.targets, cli._REVERSED_CNOT)]
+        elif g.kind is GateKind.CUSTOM:
+            continue
+        else:
+            alternatives = [Gate(k, g.targets) for k in cli._FAULT_ALPHABET if k is not g.kind]
+        for alt in alternatives:
+            faulty = one_gate_pair(ideal, pos, alt)[1]
+            if worst_distance(ideal_u, circuit_unitary(faulty)) >= eps - 1e-9:
+                options.append(faulty)
+    return options
+
+
+class TestFaultOptions:
+    def test_benchmark_ideals_match_full_unitary_screen(self, tmp_path, monkeypatch):
+        workloads = _load_benchmark_workloads(monkeypatch)
+        ideals = []
+        for seed in (1, 2, 11):
+            plan = workloads.make_plan("production-line", seed, tmp_path / str(seed))
+            for request in (plan.warmup, *plan.requests):
+                argv = list(request.argv)
+                ideal = load_circuit(argv[argv.index("--ideal") + 1])
+                ideals.append((ideal, float(argv[argv.index("--eps") + 1])))
+        assert len(ideals) == 39
+        for ideal, eps in ideals:
+            assert cli._fault_options(ideal, eps) == _fault_options_by_circuit_unitary(ideal, eps)
+
+    @pytest.mark.parametrize("eps", [0.3, 0.5, 0.9, 1.0])
+    def test_general_circuits_match_full_unitary_screen(self, rng, eps):
+        for _ in range(5):
+            ideal = random_general_circuit(3, 8, rng, custom_prob=0.2)
+            assert cli._fault_options(ideal, eps) == _fault_options_by_circuit_unitary(ideal, eps)
+
+    def test_builds_no_circuit_unitary(self, rng, monkeypatch):
+        monkeypatch.setattr(cli, "circuit_unitary", lambda *a, **k: pytest.fail("unitary built"))
+        assert cli._fault_options(random_general_circuit(4, 12, rng), 0.5)
+
+
 class TestProductionLineCommand:
     def test_tester_cache_holds_one_unitary_per_distinct_circuit(self, files, capsys, monkeypatch):
         testers = []
@@ -174,7 +232,7 @@ class TestProductionLineCommand:
         assert code == 0
         assert report["pre_rate"] > 0
         [tester] = testers
-        assert len(tester._cache) <= report["fault_options"] + 1
+        assert len(tester._unitaries) <= report["fault_options"] + 1
 
     def test_small_run(self, files, capsys):
         code, report = run_json(
@@ -228,10 +286,14 @@ class TestErrorHandling:
             ["find-error", "--u", "u", "--ut", "u", "--depth", "0"],
             ["fidelity-bound", "--n", "0"],
             ["fidelity-bound", "--n", "-2"],
+            ["production-line", "--ideal", "u", "--eps", "-1"],
+            ["production-line", "--ideal", "u", "--eps", "0"],
+            ["production-line", "--ideal", "u", "--eps", "nan"],
+            ["production-line", "--ideal", "u", "--eps", "5"],
         ],
         ids=["shots", "seed-negative", "runs", "fidelity-runs", "runs-per-candidate", "delta-0", "delta-1",
              "batch-even", "batch-negative", "batches-negative", "depth-3", "depth-0",
-             "n-0", "n-negative"],
+             "n-0", "n-negative", "eps-negative", "eps-0", "eps-nan", "eps-5"],
     )
     def test_bad_argument_exit_two_one_line(self, files, capsys, argv):
         argv = [files[a] if a in files else a for a in argv]

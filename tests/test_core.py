@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import embed_oracle, haar_unitary, pauli_kron, random_general_circuit, random_state
 from qverify.core import (
     Circuit,
+    Gate,
     GateKind,
     StateVector,
     UnitaryMatrix,
@@ -205,3 +208,66 @@ class TestValidation:
     def test_unitary_matrix_checked(self):
         with pytest.raises(NonUnitaryCustomGate):
             UnitaryMatrix(np.ones((2, 2)))
+
+
+def _with_negative_zeros(m: np.ndarray) -> np.ndarray:
+    """A copy of `m` whose zero real and imaginary parts are all -0.0."""
+    out = np.array(m, dtype=complex)
+    out.real[out.real == 0] = -0.0
+    out.imag[out.imag == 0] = -0.0
+    return out
+
+
+@st.composite
+def custom_matrices(draw, k: int) -> np.ndarray:
+    """Haar unitaries, or monomial ones (a permuted diagonal of +-1, +-i)
+    whose many exact zeros can carry either sign."""
+    d = 2**k
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return haar_unitary(d, rng)
+    m = np.zeros((d, d), dtype=complex)
+    m[rng.permutation(d), np.arange(d)] = rng.choice(np.array([1, -1, 1j, -1j]), d)
+    return m
+
+
+@st.composite
+def separately_built_pairs(draw) -> tuple[Circuit, Circuit]:
+    """Two equal circuits built gate by gate from the same description;
+    the second copy's CUSTOM matrices have their zeros negated."""
+    n = draw(st.integers(1, 4))
+    specs = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(list(GateKind)))
+        if kind is GateKind.CNOT and n < 2:
+            kind = GateKind.CUSTOM
+        k = {GateKind.CNOT: 2, GateKind.CUSTOM: draw(st.integers(1, min(2, n)))}.get(kind, 1)
+        targets = tuple(draw(st.permutations(range(n)))[:k])
+        specs.append((kind, targets, draw(custom_matrices(k)) if kind is GateKind.CUSTOM else None))
+    first = Circuit(n, tuple(Gate(kind, t, m) for kind, t, m in specs))
+    negated = [(kind, t, None if m is None else _with_negative_zeros(m)) for kind, t, m in specs]
+    second = Circuit(n, tuple(Gate(kind, t, m) for kind, t, m in negated))
+    return first, second
+
+
+class TestContentHash:
+    @given(separately_built_pairs())
+    def test_equal_circuits_hash_equal(self, pair):
+        first, second = pair
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        assert all(hash(a) == hash(b) for a, b in zip(first.gates, second.gates))
+        assert len({first: 0, second: 1}) == 1
+
+    def test_negative_zero_matrix_is_one_key(self):
+        plus = custom_gate(np.array([[0, 1], [1, 0]]), 0)
+        minus = custom_gate(_with_negative_zeros(plus.matrix), 0)
+        assert np.signbit(minus.matrix.real[0, 0]) and not np.signbit(plus.matrix.real[0, 0])
+        assert plus == minus and hash(plus) == hash(minus)
+        assert len({Circuit(1, (plus,)): 0, Circuit(1, (minus,)): 1}) == 1
+
+    def test_circuit_hash_computed_once(self, monkeypatch):
+        c = Circuit(2, (gate("H", 0), gate("CNOT", 0, 1)))
+        first = hash(c)
+        monkeypatch.setattr(Gate, "__hash__", lambda g: 1 / 0)
+        assert hash(c) == first

@@ -12,6 +12,7 @@ from qverify.metrics import (
     flipped_diagonal_pair,
     multi_controlled_not,
     one_gate_pair,
+    theorem1,
     trace_overlap,
     two_fault_example,
     verify_theorem1,
@@ -63,6 +64,21 @@ class TestAvgDistance:
         u, ut = two_fault_example(5)
         d = avg_distance(circuit_unitary(u), circuit_unitary(ut))
         assert d**2 == pytest.approx(1 - (1 - 2 / 32) ** 2, abs=1e-9)
+
+    def test_zero_overlap_gives_one(self):
+        # v = 0 has no phase to align; D must still be exactly 1.
+        assert avg_distance(u_eye(1), circuit_unitary(Circuit(1, (gate("X", 0),)))) == 1.0
+
+    def test_exact_on_padded_equal_pair(self, rng):
+        # 1 - |v|^2 leaves ~1e-16 of rounding, so sqrt gave D ~ 1e-8; the
+        # phase-aligned residual keeps D at the rounding of U itself.
+        c = random_general_circuit(4, 30, rng, custom_prob=0.2)
+        padded = Circuit(4, c.gates + (gate("H", 2), gate("H", 2)))
+        u, ut = circuit_unitary(c), circuit_unitary(padded)
+        assert avg_distance(u, ut) < 1e-14
+        report = detection_probabilities(u, ut)
+        assert (report.avg_distance, report.p_swap, report.worst_distance) == (0.0, 0.0, 0.0)
+        assert theorem1(report, 4) == (0.0, 0.0, True)
 
 
 class TestWorstDistance:

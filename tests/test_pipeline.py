@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qverify.pipeline as pipeline
 from conftest import random_general_circuit
 from qverify.core import Circuit, gate
 from qverify.errors import DomainError, EvenBatch
@@ -160,6 +161,81 @@ class TestSwapShotTester:
             padded = Circuit(n, c.gates + (gate("H", q), gate("H", q)))
             assert tester.shot_probability(c, c) == 0.0
             assert tester.shot_probability(c, padded) == 0.0
+
+
+    def test_pair_probabilities_match_shot_probability(self, rng):
+        pool = [random_general_circuit(2, 6, rng, custom_prob=0.5) for _ in range(4)]
+        tester, reference = SwapShotTester(), SwapShotTester()
+        for _ in range(20):
+            batch = [pool[k] for k in rng.integers(0, len(pool), 7)]
+            expected = [
+                reference.shot_probability(batch[i], batch[j])
+                for i in range(7)
+                for j in range(i + 1, 7)
+            ]
+            assert tester.pair_probabilities(batch).tolist() == expected
+
+
+class _CountingSwapShotTester(SwapShotTester):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def shot_probability(self, a, b):
+        self.calls += 1
+        return super().shot_probability(a, b)
+
+
+class _TwoSidedSwapShotTester(SwapShotTester):
+    one_sided = False
+
+
+class _HiddenTable:
+    """A swap-shot tester without `pair_probabilities`: winnow_batch then
+    tests pair by pair through the wrapper's `verdict`."""
+
+    repetitions = 1
+
+    def __init__(self, base):
+        self._base = base
+        self.one_sided = base.one_sided
+
+    def shot_probability(self, a, b):
+        return self._base.shot_probability(a, b)
+
+
+class TestPairTable:
+    def test_fresh_equal_circuits_share_one_unitary(self, monkeypatch):
+        # make_factory's sampler builds a new (equal) Circuit on every draw.
+        factory = make_factory(0.2)
+        builds = []
+        real_build = pipeline.circuit_unitary
+        monkeypatch.setattr(
+            pipeline, "circuit_unitary", lambda c, cap: builds.append(c) or real_build(c, cap=cap)
+        )
+        tester = _CountingSwapShotTester()
+        tested = majority_tester(tester, 1e-4)
+        simulate_production(factory, 11, 1000, delta=1e-4, seed=5, tester=tested)
+        distinct = 2 + 1  # the two fault options and the ideal circuit
+        assert len(builds) <= distinct
+        assert len(tester._unitaries) <= distinct
+        assert tester.calls <= distinct**2
+
+    @pytest.mark.parametrize("swap", [SwapShotTester, _TwoSidedSwapShotTester])
+    @pytest.mark.parametrize("delta", [0.4, 1e-4, 1e-30])
+    def test_one_draw_equals_per_pair_loop(self, rng, swap, delta):
+        pool = [random_general_circuit(2, 4, rng, custom_prob=0.5) for _ in range(5)]
+        pool += [Circuit(2, pool[0].gates)]  # equal to pool[0], built separately
+        one_draw = majority_tester(swap(), delta)
+        per_pair = majority_tester(_HiddenTable(swap()), delta)
+        for seed in range(40):
+            batch = [pool[k] for k in rng.integers(0, len(pool), int(rng.choice([1, 3, 5, 11])))]
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            a = winnow_batch(batch, one_draw, rng_a)
+            b = winnow_batch(batch, per_pair, rng_b)
+            assert np.array_equal(a.pair_verdicts, b.pair_verdicts)
+            assert (a.kept, a.tests_run) == (b.kept, b.tests_run)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class _OracleTester:

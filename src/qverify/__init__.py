@@ -13,15 +13,11 @@ from .clifford import (
     CliffordTableau,
     PauliString,
     conjugate_pauli,
-    conjugate_pauli_inverse,
     differing_pauli_fraction,
-    pauli_correction,
     pauli_multiply,
     random_clifford_circuit,
     random_pauli,
-    symplectic_matrix,
     symplectic_rank_diff,
-    tableau_compose,
     tableau_dagger,
     tableau_equal,
     tableau_from_circuit,
@@ -30,14 +26,12 @@ from .cliffordtest import (
     CliffordBlackBox,
     CliffordTestReport,
     EigenstatePrep,
-    acceptance_probability,
     detection_probability_exact,
     entanglement_fidelity_clifford,
     equivalence_verdict,
     find_error,
     one_qubit_clifford_circuits,
     prepare_input,
-    repetitions_for_confidence,
     run_test_once,
 )
 from .core import (
@@ -45,16 +39,11 @@ from .core import (
     Circuit,
     Gate,
     GateKind,
-    StateVector,
     UnitaryMatrix,
-    apply_circuit,
-    apply_gate,
     circuit_unitary,
     custom_gate,
     dagger,
-    embed_gate,
     gate,
-    zero_state,
 )
 from .metrics import (
     DistanceReport,
@@ -74,7 +63,6 @@ from .pipeline import (
     SwapShotTester,
     batch_failure_bound,
     kl_divergence_binary,
-    majority_tester,
     simulate_production,
     winnow_batch,
 )

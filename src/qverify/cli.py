@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,37 +48,13 @@ from .seeding import rng_from_seed
 EQUALITY_TOL = 1e-5
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; mirrored into the report."""
-
-    command: str
-    u_path: str | None = None
-    ut_path: str | None = None
-    seed: int = 0
-    shots: int = 1000
-    runs: int = 60
-    delta: float = 1e-4
-    eps: float = 0.5
-    k: int = 1
-    cap: int = DEFAULT_QUBIT_CAP
-    json_output: bool = False
-    fault_prob: float = 0.1
-    batch: int = 11
-    batches: int = 1000
-    depth: int = 1
-    runs_per_candidate: int = 40
-    n: int = 1
-    exhaustive: bool = False
-
-
-def _base_report(config: RunConfig) -> dict:
+def _base_report(args: argparse.Namespace) -> dict:
     return {
         "report_version": 1,
         "tool": "qverify",
         "version": __version__,
-        "command": config.command,
-        "seed": config.seed,
+        "command": args.command,
+        "seed": args.seed,
     }
 
 
@@ -93,13 +68,13 @@ def _protocol_report(outcome) -> dict:
     }
 
 
-def _cmd_distance(config: RunConfig) -> tuple[int, dict]:
-    u = circuit_unitary(load_circuit(config.u_path), cap=config.cap)
-    ut = circuit_unitary(load_circuit(config.ut_path), cap=config.cap)
-    report = detection_probabilities(u, ut, cap=config.cap)
+def _cmd_distance(args: argparse.Namespace) -> tuple[int, dict]:
+    u = circuit_unitary(load_circuit(args.u), cap=args.cap)
+    ut = circuit_unitary(load_circuit(args.ut), cap=args.cap)
+    report = detection_probabilities(u, ut, cap=args.cap)
     lhs, rhs, holds = theorem1(report, u.n_qubits)
     verdict = "equal" if report.avg_distance <= EQUALITY_TOL else "different"
-    out = _base_report(config)
+    out = _base_report(args)
     out.update(
         {
             "n": u.n_qubits,
@@ -116,21 +91,21 @@ def _cmd_distance(config: RunConfig) -> tuple[int, dict]:
     return (0 if verdict == "equal" else 1), out
 
 
-def _cmd_protocol(config: RunConfig) -> tuple[int, dict]:
-    u_circ = load_circuit(config.u_path)
-    ut_circ = load_circuit(config.ut_path)
-    if config.command == "swap-test":
+def _cmd_protocol(args: argparse.Namespace) -> tuple[int, dict]:
+    u_circ = load_circuit(args.u)
+    ut_circ = load_circuit(args.ut)
+    if args.command == "swap-test":
         u = BlackBoxUnitary(u_circ)
         ut = BlackBoxUnitary(ut_circ)
-        outcome = run_swap_test(u, ut, config.shots, config.seed, cap=config.cap)
-    elif config.command == "conditional-test":
+        outcome = run_swap_test(u, ut, args.shots, args.seed, cap=args.cap)
+    elif args.command == "conditional-test":
         u = BlackBoxUnitary(u_circ, ALL_CAPABILITIES)
         ut = BlackBoxUnitary(ut_circ, ALL_CAPABILITIES)
-        outcome = run_conditional_test(u, ut, config.shots, config.seed, cap=config.cap)
+        outcome = run_conditional_test(u, ut, args.shots, args.seed, cap=args.cap)
     else:
         ut = BlackBoxUnitary(ut_circ)
-        outcome = run_inverse_test(u_circ, ut, config.shots, config.seed, cap=config.cap)
-    out = _base_report(config)
+        outcome = run_inverse_test(u_circ, ut, args.shots, args.seed, cap=args.cap)
+    out = _base_report(args)
     out.update(_protocol_report(outcome))
     return (0 if outcome.verdict == "equal" else 1), out
 
@@ -174,23 +149,21 @@ def _fault_options(ideal: Circuit, eps: float) -> list[Circuit]:
     return options
 
 
-def _cmd_production_line(config: RunConfig) -> tuple[int, dict]:
-    ideal = load_circuit(config.u_path)
-    options = _fault_options(ideal, config.eps)
+def _cmd_production_line(args: argparse.Namespace) -> tuple[int, dict]:
+    ideal = load_circuit(args.ideal)
+    options = _fault_options(ideal, args.eps)
     if not options:
         raise QverifyError(
-            f"no single-gate replacement of the ideal circuit reaches eps={config.eps}"
+            f"no single-gate replacement of the ideal circuit reaches eps={args.eps}"
         )
 
     def sampler(rng: np.random.Generator) -> Circuit:
         # The same objects every time, so the tester builds each unitary once.
         return options[rng.integers(0, len(options))]
 
-    factory = FactoryModel(ideal, config.fault_prob, sampler, config.eps, cap=config.cap)
-    summary = simulate_production(
-        factory, config.batch, config.batches, config.delta, config.seed
-    )
-    out = _base_report(config)
+    factory = FactoryModel(ideal, args.fault_prob, sampler, args.eps, cap=args.cap)
+    summary = simulate_production(factory, args.batch, args.batches, args.delta, args.seed)
+    out = _base_report(args)
     out.update(
         {
             "pre_rate": summary.pre_rate,
@@ -216,11 +189,11 @@ def _run_to_dict(run) -> dict:
     }
 
 
-def _cmd_clifford_test(config: RunConfig) -> tuple[int, dict]:
-    u = load_circuit(config.u_path)
-    ut = CliffordBlackBox(load_circuit(config.ut_path))
-    report = equivalence_verdict(u, ut, config.runs, config.seed)
-    out = _base_report(config)
+def _cmd_clifford_test(args: argparse.Namespace) -> tuple[int, dict]:
+    u = load_circuit(args.u)
+    ut = CliffordBlackBox(load_circuit(args.ut))
+    report = equivalence_verdict(u, ut, args.runs, args.seed)
+    out = _base_report(args)
     out.update(
         {
             "runs": [_run_to_dict(r) for r in report.runs],
@@ -232,12 +205,12 @@ def _cmd_clifford_test(config: RunConfig) -> tuple[int, dict]:
     return (0 if report.verdict == "equal" else 1), out
 
 
-def _cmd_find_error(config: RunConfig) -> tuple[int, dict]:
-    u = load_circuit(config.u_path)
-    ut = CliffordBlackBox(load_circuit(config.ut_path))
-    out = _base_report(config)
+def _cmd_find_error(args: argparse.Namespace) -> tuple[int, dict]:
+    u = load_circuit(args.u)
+    ut = CliffordBlackBox(load_circuit(args.ut))
+    out = _base_report(args)
     try:
-        candidate = find_error(u, ut, config.depth, config.runs_per_candidate, config.seed)
+        candidate = find_error(u, ut, args.depth, args.runs_per_candidate, args.seed)
     except CandidateNotFound as exc:
         out.update({"found": False, "detail": str(exc), "verdict": "different"})
         return 1, out
@@ -253,11 +226,11 @@ def _cmd_find_error(config: RunConfig) -> tuple[int, dict]:
     return (0 if same_as_u else 1), out
 
 
-def _cmd_fidelity_bound(config: RunConfig) -> tuple[int, dict]:
+def _cmd_fidelity_bound(args: argparse.Namespace) -> tuple[int, dict]:
     pairs = 0
     max_fidelity = 0.0
-    if config.exhaustive:
-        if config.n != 1:
+    if args.exhaustive:
+        if args.n != 1:
             raise QverifyError("--exhaustive supports --n 1 only")
         circuits = one_qubit_clifford_circuits()
         tableaux = [tableau_from_circuit(c) for c in circuits]
@@ -268,19 +241,19 @@ def _cmd_fidelity_bound(config: RunConfig) -> tuple[int, dict]:
                 pairs += 1
                 max_fidelity = max(max_fidelity, entanglement_fidelity_clifford(ti, tj))
     else:
-        for i in range(config.runs):
-            rng = rng_from_seed(config.seed, i)
-            a = tableau_from_circuit(random_clifford_circuit(config.n, 30, rng))
-            b = tableau_from_circuit(random_clifford_circuit(config.n, 30, rng))
+        for i in range(args.runs):
+            rng = rng_from_seed(args.seed, i)
+            a = tableau_from_circuit(random_clifford_circuit(args.n, 30, rng))
+            b = tableau_from_circuit(random_clifford_circuit(args.n, 30, rng))
             if tableau_equal(a, b):
                 continue
             pairs += 1
             max_fidelity = max(max_fidelity, entanglement_fidelity_clifford(a, b))
     holds = max_fidelity <= 0.5 + 1e-12
-    out = _base_report(config)
+    out = _base_report(args)
     out.update(
         {
-            "n": config.n,
+            "n": args.n,
             "pairs_checked": pairs,
             "max_fidelity": max_fidelity,
             "bound": 0.5,
@@ -300,11 +273,6 @@ _COMMANDS = {
     "find-error": _cmd_find_error,
     "fidelity-bound": _cmd_fidelity_bound,
 }
-
-
-def dispatch(config: RunConfig) -> tuple[int, dict]:
-    """Run one configured command; (exit_code, report)."""
-    return _COMMANDS[config.command](config)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -328,6 +296,8 @@ def _checked(convert, accept, requirement: str):
 
 
 _NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
+# numpy's binomial draw takes its count as an int64.
+_SHOTS = _checked(int, lambda v: 0 <= v <= 2**63 - 1, "in [0, 2**63 - 1]")
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _ODD_BATCH = _checked(int, lambda v: v >= 1 and v % 2 == 1, "odd and >= 1")
 _OPEN_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
@@ -339,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qverify", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, circuits=True):
+    def common(p, circuits=True, dense=False):
         if circuits:
             p.add_argument("--u", required=True, help="circuit file for U")
             p.add_argument("--ut", required=True, help="circuit file for Ut")
@@ -350,14 +320,16 @@ def _build_parser() -> argparse.ArgumentParser:
             default=os.environ.get("QVERIFY_SEED", "0"),
             help="default: $QVERIFY_SEED, else 0",
         )
-        p.add_argument("--cap", type=int, default=DEFAULT_QUBIT_CAP)
+        if dense:
+            p.add_argument("--cap", type=_COUNT, default=DEFAULT_QUBIT_CAP, help="max dense qubits")
         p.add_argument("--json", action="store_true")
 
-    common(sub.add_parser("distance", help="exact distances and detection probabilities"))
+    p = sub.add_parser("distance", help="exact distances and detection probabilities")
+    common(p, dense=True)
     for name in ("swap-test", "conditional-test", "inverse-test"):
         p = sub.add_parser(name, help=f"sampled {name.replace('-', ' ')}")
-        common(p)
-        p.add_argument("--shots", type=_NON_NEGATIVE, default=1000)
+        common(p, dense=True)
+        p.add_argument("--shots", type=_SHOTS, default=1000)
 
     p = sub.add_parser("production-line", help="winnow a simulated production line")
     p.add_argument("--ideal", required=True, help="ideal circuit file")
@@ -366,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=_ODD_BATCH, default=11)
     p.add_argument("--batches", type=_COUNT, default=1000)
     p.add_argument("--delta", type=_OPEN_UNIT, default=1e-4)
-    common(p, circuits=False)
+    common(p, circuits=False, dense=True)
 
     p = sub.add_parser("clifford-test", help="randomized Clifford equality test")
     common(p)
@@ -386,32 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command, seed=args.seed)
-    for name in (
-        "cap",
-        "shots",
-        "runs",
-        "delta",
-        "eps",
-        "batch",
-        "batches",
-        "depth",
-        "n",
-        "exhaustive",
-    ):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    config.json_output = args.json
-    config.u_path = getattr(args, "u", None) or getattr(args, "ideal", None)
-    config.ut_path = getattr(args, "ut", None)
-    if hasattr(args, "fault_prob"):
-        config.fault_prob = args.fault_prob
-    if hasattr(args, "runs_per_candidate"):
-        config.runs_per_candidate = args.runs_per_candidate
-    return config
-
-
 def _text_summary(report: dict) -> str:
     lines = [f"{report['command']} (seed {report['seed']})"]
     for key in sorted(report):
@@ -427,16 +373,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    config = _config_from_args(args)
     try:
-        code, report = dispatch(config)
+        code, report = _COMMANDS[args.command](args)
     except QverifyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.json_output:
+    if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         print(_text_summary(report))

@@ -24,18 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
 from .core import Circuit, Gate, GateKind, dagger as circuit_dagger
 from .errors import DimensionMismatch, NonCliffordGate
 
 _LETTERS = ("I", "X", "Z", "Y")  # indexed by x + 2*z
-
-_LETTER_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 CLIFFORD_GATE_KINDS = frozenset(
     {GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.S, GateKind.SDG, GateKind.CNOT}
@@ -56,10 +48,6 @@ class PauliString:
         object.__setattr__(self, "x", self.x & mask)
         object.__setattr__(self, "z", self.z & mask)
         object.__setattr__(self, "phase_t", self.phase_t % 4)
-
-    @classmethod
-    def identity(cls, n: int) -> PauliString:
-        return cls(n, 0, 0, 0)
 
     @classmethod
     def from_bits(cls, n: int, x: int, z: int, sign: int = 1) -> PauliString:
@@ -102,13 +90,6 @@ class PauliString:
     def y_count(self) -> int:
         return (self.x & self.z).bit_count()
 
-    def coefficient(self) -> complex:
-        """Scalar in front of the plain letter tensor: one of 1, i, -1, -i."""
-        return 1j ** ((self.phase_t - self.y_count) % 4)
-
-    def is_hermitian(self) -> bool:
-        return (self.phase_t - self.y_count) % 2 == 0
-
     def sign(self) -> int:
         """+1 or -1; only defined on Hermitian strings."""
         r = (self.phase_t - self.y_count) % 4
@@ -117,22 +98,6 @@ class PauliString:
         if r == 2:
             return -1
         raise ValueError(f"{self} is not Hermitian")
-
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
-    def commutes_with(self, other: PauliString) -> bool:
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n} vs {other.n} qubits")
-        parity = ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2
-        return parity == 0
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix; intended for small n."""
-        m = np.array([[self.coefficient()]], dtype=complex)
-        for j in range(self.n):
-            m = np.kron(m, _LETTER_MATRICES[self.letter(j)])
-        return m
 
     def __mul__(self, other: PauliString) -> PauliString:
         return pauli_multiply(self, other)
@@ -172,18 +137,6 @@ class CliffordTableau:
 
     n: int
     images: tuple[PauliString, ...]
-
-    def x_image(self, j: int) -> PauliString:
-        return self.images[j]
-
-    def z_image(self, j: int) -> PauliString:
-        return self.images[self.n + j]
-
-
-def identity_tableau(n: int) -> CliffordTableau:
-    images = [PauliString.from_bits(n, 1 << j, 0) for j in range(n)]
-    images += [PauliString.from_bits(n, 0, 1 << j) for j in range(n)]
-    return CliffordTableau(n, tuple(images))
 
 
 class _ColumnTableau:
@@ -294,62 +247,8 @@ def conjugate_pauli(t: CliffordTableau, p: PauliString) -> PauliString:
     return PauliString(t.n, x_acc, z_acc, t_acc % 4)
 
 
-def conjugate_pauli_inverse(t: CliffordTableau, p: PauliString) -> PauliString:
-    """U^dag p U given the tableau of U, via a GF(2) solve.
-
-    The bit part solves M q = p; the sign is fixed by conjugating the
-    candidate forward and comparing.
-    """
-    if t.n != p.n:
-        raise DimensionMismatch(f"tableau on {t.n} qubits, Pauli on {p.n}")
-    n = t.n
-    # Rows of the transposed system: equation per coordinate is awkward,
-    # so solve with M^T by swapping the roles: build the 2n rows of M.
-    vec_p = p.x | (p.z << n)
-    rows = _matrix_rows(t)
-    sol = gf2.gf2_solve(rows, [(vec_p >> i) & 1 for i in range(2 * n)], 2 * n)
-    if sol is None:
-        raise ValueError("tableau matrix is singular; not a valid Clifford tableau")
-    q = PauliString.from_bits(n, sol & ((1 << n) - 1), sol >> n, 1)
-    forward = conjugate_pauli(t, q)
-    if forward.sign() != p.sign():
-        q = -q
-    return q
-
-
 def _image_vector(img: PauliString) -> int:
     return img.x | (img.z << img.n)
-
-
-def _matrix_rows(t: CliffordTableau) -> list[int]:
-    """Rows of M_U as bit vectors (bit g of row r = M[r, g]).
-
-    M_U holds the image vectors as its columns, so this transposes.
-    """
-    n = t.n
-    cols = [_image_vector(img) for img in t.images]
-    rows = [0] * (2 * n)
-    for g, col in enumerate(cols):
-        while col:
-            r = (col & -col).bit_length() - 1
-            rows[r] |= 1 << g
-            col &= col - 1
-    return rows
-
-
-def symplectic_matrix(t: CliffordTableau) -> np.ndarray:
-    """M_U as a (2n, 2n) uint8 array over F2.
-
-    Column g holds the (x, z) bit vector of generator g's image, so
-    M_U @ p mod 2 is the bit part of the conjugated Pauli.
-    """
-    n = t.n
-    m = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-    for g, img in enumerate(t.images):
-        vec = _image_vector(img)
-        for r in range(2 * n):
-            m[r, g] = (vec >> r) & 1
-    return m
 
 
 def symplectic_rank_diff(a: CliffordTableau, b: CliffordTableau) -> int:
@@ -357,7 +256,20 @@ def symplectic_rank_diff(a: CliffordTableau, b: CliffordTableau) -> int:
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} vs {b.n} qubits")
     cols = [_image_vector(ia) ^ _image_vector(ib) for ia, ib in zip(a.images, b.images)]
-    return gf2.gf2_rank(cols)
+    return gf2_rank(cols)
+
+
+def gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of the binary matrix whose rows are the given bit vectors."""
+    basis: dict[int, int] = {}  # leading bit -> reduced row
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = row
+                break
+            row ^= basis[lead]
+    return len(basis)
 
 
 def differing_pauli_fraction(a: CliffordTableau, b: CliffordTableau) -> float:
@@ -365,37 +277,9 @@ def differing_pauli_fraction(a: CliffordTableau, b: CliffordTableau) -> float:
     return 1.0 - 2.0 ** (-symplectic_rank_diff(a, b))
 
 
-def tableau_compose(a: CliffordTableau, b: CliffordTableau) -> CliffordTableau:
-    """Tableau of the product A B (conjugation by A after B)."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} vs {b.n} qubits")
-    return CliffordTableau(a.n, tuple(conjugate_pauli(a, img) for img in b.images))
-
-
 def tableau_equal(a: CliffordTableau, b: CliffordTableau) -> bool:
     """True when all generator images agree, signs included."""
     return a.n == b.n and a.images == b.images
-
-
-def pauli_correction(a: CliffordTableau, b: CliffordTableau) -> PauliString | None:
-    """The unique R with conj_A = conj_(R B), or None if M_a != M_b.
-
-    R must anticommute with the image of generator g exactly when the
-    two tableaux disagree on that image's sign; that is a linear
-    system over F2 in R's (x, z) bits.
-    """
-    if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} vs {b.n} qubits")
-    n = a.n
-    for ia, ib in zip(a.images, b.images):
-        if (ia.x, ia.z) != (ib.x, ib.z):
-            return None
-    rows = [img.z | (img.x << n) for img in b.images]
-    rhs = [0 if ia.sign() == ib.sign() else 1 for ia, ib in zip(a.images, b.images)]
-    sol = gf2.gf2_solve(rows, rhs, 2 * n)
-    if sol is None:
-        return None
-    return PauliString.from_bits(n, sol & ((1 << n) - 1), sol >> n, 1)
 
 
 def random_clifford_circuit(n: int, length: int, rng: np.random.Generator) -> Circuit:

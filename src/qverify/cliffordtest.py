@@ -17,7 +17,6 @@ qubits.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,7 +26,6 @@ from .clifford import (
     CliffordTableau,
     PauliString,
     conjugate_pauli,
-    conjugate_pauli_inverse,
     random_pauli,
     tableau_dagger,
     tableau_from_circuit,
@@ -119,26 +117,6 @@ class CliffordBlackBox:
         return 1 if rng.random() < (1.0 + e) / 2.0 else -1
 
 
-def acceptance_probability(
-    u: CliffordTableau, ut: CliffordTableau, q: PauliString, prep: EigenstatePrep
-) -> float:
-    """P(outcome = prep.eigenvalue) for one round with pulled-back Pauli q.
-
-    q must be U^dag P U for the measured observable P, and prep must
-    have been drawn for q.  The probability is
-    (1 + lambda * <psi_in| Ut^dag P Ut |psi_in>) / 2, evaluated through
-    the tableaux without any 2^n object.
-    """
-    if u.n != ut.n or u.n != q.n:
-        raise DimensionMismatch("tableaux and Pauli must share the qubit count")
-    if prep.q != q:
-        raise ValueError(f"prep was drawn for {prep.q}, not for {q}")
-    p_observable = conjugate_pauli(u, q)
-    q_tilde = conjugate_pauli_inverse(ut, p_observable)
-    e = expectation_on_prep(prep, q_tilde)
-    return (1.0 + prep.eigenvalue * e) / 2.0
-
-
 @dataclass(frozen=True)
 class TestRun:
     """One round: observable, its pullback, known eigenvalue, sample."""
@@ -174,17 +152,6 @@ def run_test_once(
     prep = prepare_input(q, rng)
     outcome = ut.run_and_measure(prep, p, rng)
     return TestRun(pauli=p, conjugated=q, eigenvalue=prep.eigenvalue, outcome=outcome)
-
-
-def repetitions_for_confidence(delta: float, detection_floor: float = 0.25) -> int:
-    """Rounds needed to miss with probability <= delta at the given floor.
-
-    The floor is a configuration default (measured, not proven): use
-    detection_probability_exact to audit it for specific pairs.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return math.ceil(math.log(1.0 / delta) / -math.log1p(-detection_floor))
 
 
 def equivalence_verdict(

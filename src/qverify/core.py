@@ -1,21 +1,21 @@
-"""Dense statevector/unitary simulation of quantum circuits.
+"""Dense unitary simulation of quantum circuits.
 
 Conventions used throughout the package:
 
 * Qubit 0 is the MOST significant bit of a basis-state index, so for
   ``n = 2`` the order is ``|q0 q1>`` and index 2 means ``|10>``.  With
-  numpy this makes axis ``j`` of ``amplitudes.reshape([2] * n)`` the
-  axis of qubit ``j``.
+  numpy this makes axis ``j`` of a ``[2] * n`` tensor the axis of
+  qubit ``j``.
 * Circuits are ordered gate lists; ``gates[0]`` acts first, so the
   circuit unitary is ``G_s @ ... @ G_1``.
-* All dense arithmetic is complex128.  Construction-time unitarity and
-  normalisation are checked to 1e-10; products of validated inputs are
-  allowed a decade of accumulation slack (1e-9).
+* All dense arithmetic is complex128.  Construction-time unitarity is
+  checked to 1e-10; products of validated inputs are allowed a decade
+  of accumulation slack (1e-9).
 * There is one dense kernel, ``_contract``: a 2^k x 2^k matrix is
   contracted into k qubit axes of a ``[2] * n (+ batch axes)`` tensor,
   so it costs O(2^k) per entry and is never embedded as a 2^n x 2^n
-  matrix.  States and whole unitaries (an identity tensor with the
-  columns as one batch axis) are built this way.
+  matrix.  Whole unitaries are built this way, from an identity tensor
+  with the columns as one batch axis.
 
 Dense objects are capped at ``DEFAULT_QUBIT_CAP`` qubits (configurable
 per call) to bound memory.  Everything here is immutable after
@@ -203,26 +203,6 @@ class Circuit:
 
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
-    """A normalised 2^n-dimensional complex state."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=complex)
-        if a.shape != (2**self.n_qubits,):
-            raise DimensionMismatch(
-                f"expected {2 ** self.n_qubits} amplitudes, got shape {a.shape}"
-            )
-        norm = np.linalg.norm(a)
-        if abs(norm - 1.0) > INPUT_TOL:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond {INPUT_TOL}")
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-
-
-@dataclass(frozen=True, eq=False)
 class UnitaryMatrix:
     """A dense 2^n x 2^n unitary, checked at construction."""
 
@@ -247,18 +227,6 @@ class UnitaryMatrix:
         return self.dim.bit_length() - 1
 
 
-def zero_state(n_qubits: int) -> StateVector:
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
-
-
-def basis_state(n_qubits: int, index: int) -> StateVector:
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(n_qubits, amps)
-
-
 def _contract(arr: np.ndarray, matrix: np.ndarray, targets) -> np.ndarray:
     """Contract a 2^k x 2^k `matrix` into the k `targets` axes of `arr`.
 
@@ -270,38 +238,6 @@ def _contract(arr: np.ndarray, matrix: np.ndarray, targets) -> np.ndarray:
     gt = matrix.reshape([2] * (2 * k))
     out = np.tensordot(gt, arr, axes=(list(range(k, 2 * k)), list(targets)))
     return np.moveaxis(out, list(range(k)), list(targets))
-
-
-def apply_gate(g: Gate, state: StateVector) -> StateVector:
-    """Apply a single gate to a state without building the full matrix."""
-    n = state.n_qubits
-    for t in g.targets:
-        if t >= n:
-            raise IndexOutOfRange(f"target {t} outside state of {n} qubits")
-    arr = _contract(state.amplitudes.reshape([2] * n), g.unitary(), g.targets)
-    return StateVector(n, arr.reshape(-1))
-
-
-def apply_circuit(c: Circuit, state: StateVector) -> StateVector:
-    """Apply `c` gate by gate; equals circuit_unitary(c) @ amplitudes."""
-    if c.n_qubits != state.n_qubits:
-        raise DimensionMismatch(
-            f"circuit has {c.n_qubits} qubits, state has {state.n_qubits}"
-        )
-    n = c.n_qubits
-    arr = state.amplitudes.reshape([2] * n)
-    for g in c.gates:
-        arr = _contract(arr, g.unitary(), g.targets)
-    return StateVector(n, np.ascontiguousarray(arr).reshape(-1))
-
-
-def embed_gate(g: Gate, n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> UnitaryMatrix:
-    """The 2^n x 2^n unitary acting as `g` on its targets, identity elsewhere.
-
-    Supports non-contiguous and permuted target lists: the first listed
-    target binds to the most significant bit of the gate's own matrix.
-    """
-    return circuit_unitary(Circuit(n_qubits, (g,)), cap=cap)
 
 
 def circuit_unitary(c: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> UnitaryMatrix:

@@ -150,7 +150,8 @@ class MajorityTester:
         self.base = base
         self.one_sided = bool(getattr(base, "one_sided", False))
         per_run = getattr(base, "repetitions", 1)
-        self.majority_runs = max(1, math.ceil(repetition_constant * math.log(1.0 / delta)))
+        # -log(delta), not log(1/delta): 1/delta overflows for subnormal delta.
+        self.majority_runs = max(1, math.ceil(repetition_constant * -math.log(delta)))
         self.repetitions = self.majority_runs * per_run
 
     def verdict(self, a: Circuit, b: Circuit, rng: np.random.Generator) -> bool:
@@ -167,11 +168,6 @@ class MajorityTester:
         if self.one_sided:
             return fires > 0
         return fires > self.majority_runs / 2
-
-
-def majority_tester(base, delta: float, repetition_constant: float = 18.0) -> MajorityTester:
-    """Wrap a pairwise tester so it errs with probability <= delta."""
-    return MajorityTester(base, delta, repetition_constant)
 
 
 @dataclass(frozen=True)
@@ -297,7 +293,7 @@ def simulate_production(
     if batch_size % 2 == 0:
         raise EvenBatch(f"batch size must be odd, got {batch_size}")
     if tester is None:
-        tester = majority_tester(SwapShotTester(cap=factory.cap), delta)
+        tester = MajorityTester(SwapShotTester(cap=factory.cap), delta)
     total = 0
     faulty_total = 0
     kept_total = 0

@@ -1,49 +1,39 @@
 """Black-box comparison protocols: swap, conditional and inverse tests.
 
 The protocols never read a wrapped circuit's gate list; they only use
-the access modes the black box grants (plain application, conditional
-application, or application of the inverse).  The box builds its
-dense unitary U for each use, and every access mode contracts U (or
-U^dag) into the listed qubits of a state.  Each protocol fires with a
-probability that depends only on the overlap v = Tr(U^dag Ut) / 2^n,
-so protocols run on circuits of up to `cap` qubits, like `distance`.
-Shot outcomes are drawn from that analytic Bernoulli parameter, which
-has exactly the same distribution as simulating the full test
-circuit shot by shot but keeps 10^5-shot runs instant.
+the access the black box grants (plain or conditional application).
+The box's one reader, `_unitary`, builds its dense unitary U for a
+caller holding the capability a protocol needs.  Each protocol fires
+with a probability that depends only on the overlap
+v = Tr(U^dag Ut) / 2^n, so protocols run on circuits of up to `cap`
+qubits, like `distance`.  Shot outcomes are drawn from that analytic
+Bernoulli parameter, which has exactly the same distribution as
+simulating the full test circuit shot by shot but keeps 10^5-shot runs
+instant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-import numpy as np
-
-from .core import (
-    DEFAULT_QUBIT_CAP,
-    Circuit,
-    StateVector,
-    UnitaryMatrix,
-    _contract,
-    circuit_unitary,
-)
-from .errors import CapabilityMissing, DimensionMismatch, IndexOutOfRange
+from .core import DEFAULT_QUBIT_CAP, Circuit, UnitaryMatrix, circuit_unitary
+from .errors import CapabilityMissing
 from .metrics import _clamp01, trace_overlap
 from .seeding import rng_from_seed
 
 CAP_PLAIN = "plain"
 CAP_CONDITIONAL = "conditional"
-CAP_INVERSE = "inverse"
-ALL_CAPABILITIES = frozenset({CAP_PLAIN, CAP_CONDITIONAL, CAP_INVERSE})
+ALL_CAPABILITIES = frozenset({CAP_PLAIN, CAP_CONDITIONAL})
 
 
 class BlackBoxUnitary:
-    """Opaque handle over a circuit, exposing only gated access modes.
+    """Opaque handle over a circuit, exposing only gated access.
 
     The wrapped gate list is not reachable through the public surface;
-    protocols see the qubit count and whichever of apply /
-    apply_conditional / apply_inverse the capability flags allow.
+    protocols see the qubit count, and the unitary only through
+    `_unitary` with a capability the flags allow.
     """
 
     def __init__(self, circuit: Circuit, capabilities: frozenset[str] = frozenset({CAP_PLAIN})):
@@ -69,53 +59,6 @@ class BlackBoxUnitary:
         """The hidden unitary, for callers holding `capability`."""
         self.require(capability)
         return circuit_unitary(self.__circuit, cap=cap)
-
-    def apply(self, state: StateVector, qubits: Sequence[int] | None = None) -> StateVector:
-        """Run the hidden unitary on the listed qubits (default: first n)."""
-        u = self._unitary(CAP_PLAIN).matrix
-        qs = self._targets(state, qubits)
-        return _state(_contract(_tensor(state), u, qs))
-
-    def apply_inverse(self, state: StateVector, qubits: Sequence[int] | None = None) -> StateVector:
-        u = self._unitary(CAP_INVERSE).matrix
-        qs = self._targets(state, qubits)
-        return _state(_contract(_tensor(state), u.conj().T, qs))
-
-    def apply_conditional(
-        self,
-        state: StateVector,
-        control: int,
-        on_value: int = 1,
-        qubits: Sequence[int] | None = None,
-    ) -> StateVector:
-        """Run the hidden unitary conditioned on a control qubit's value."""
-        u = self._unitary(CAP_CONDITIONAL).matrix
-        qs = self._targets(state, qubits)
-        if control in qs or not 0 <= control < state.n_qubits:
-            raise IndexOutOfRange(f"control {control} must be a free qubit, not in {qs}")
-        # Only the control = on_value slice moves; it lacks the control axis.
-        arr = np.array(_tensor(state))
-        branch = (slice(None),) * control + (on_value,)
-        arr[branch] = _contract(arr[branch], u, [q - (q > control) for q in qs])
-        return _state(arr)
-
-    def _targets(self, state: StateVector, qubits: Sequence[int] | None) -> tuple[int, ...]:
-        qs = tuple(qubits) if qubits is not None else tuple(range(self.n_qubits))
-        if len(qs) != self.n_qubits or len(set(qs)) != len(qs):
-            raise DimensionMismatch(
-                f"circuit on {self.n_qubits} qubits cannot bind to targets {qs}"
-            )
-        if any(not 0 <= q < state.n_qubits for q in qs):
-            raise IndexOutOfRange(f"targets {qs} outside state of {state.n_qubits} qubits")
-        return qs
-
-
-def _tensor(state: StateVector) -> np.ndarray:
-    return state.amplitudes.reshape([2] * state.n_qubits)
-
-
-def _state(arr: np.ndarray) -> StateVector:
-    return StateVector(arr.ndim, np.ascontiguousarray(arr).reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -222,7 +165,8 @@ def repeat_until_confident(
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     p_min = eps**2 / 2 ** (k + 2)
-    runs = math.ceil(math.log(1.0 / delta) / p_min)
+    # -log(delta), not log(1/delta): 1/delta overflows for subnormal delta.
+    runs = math.ceil(-math.log(delta) / p_min)
     if runs == 0:
         return "equal", 0
     return tester(runs).verdict, runs

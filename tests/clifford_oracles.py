@@ -1,0 +1,95 @@
+"""Tableau-only oracles for the Clifford test's acceptance probability.
+
+`acceptance_probability` evaluates one round exactly, through the
+tableaux of both circuits, without any 2^n object: the oracle for the
+soundness and dense-agreement acceptance criteria.  It needs U^dag P U
+from the tableau of U, which takes a GF(2) solve.
+"""
+
+from __future__ import annotations
+
+from qverify.clifford import CliffordTableau, PauliString, conjugate_pauli
+from qverify.cliffordtest import EigenstatePrep, expectation_on_prep
+from qverify.errors import DimensionMismatch
+
+
+def gf2_solve(rows: list[int], rhs: list[int], n_cols: int) -> int | None:
+    """Solve M v = b over GF(2); rows are bit vectors, rhs bits 0/1.
+
+    Returns one solution as a bit vector (free variables set to 0), or
+    None when the system is inconsistent.
+    """
+    aug = [r | (b << n_cols) for r, b in zip(rows, rhs)]
+    pivots: dict[int, int] = {}  # pivot column -> row owning it
+    for row in aug:
+        for col, prow in pivots.items():
+            if (row >> col) & 1:
+                row ^= prow
+        if row == 0:
+            continue
+        coeffs = row & ((1 << n_cols) - 1)
+        if coeffs == 0:
+            return None
+        col = coeffs.bit_length() - 1
+        for c in pivots:
+            if (pivots[c] >> col) & 1:
+                pivots[c] ^= row
+        pivots[col] = row
+    solution = 0
+    for col, prow in pivots.items():
+        if (prow >> n_cols) & 1:
+            solution |= 1 << col
+    return solution
+
+
+def _matrix_rows(t: CliffordTableau) -> list[int]:
+    """Rows of M_U as bit vectors (bit g of row r = M[r, g]).
+
+    M_U holds the image vectors (x | z << n) as its columns, so this
+    transposes.
+    """
+    n = t.n
+    rows = [0] * (2 * n)
+    for g, img in enumerate(t.images):
+        col = img.x | (img.z << n)
+        while col:
+            r = (col & -col).bit_length() - 1
+            rows[r] |= 1 << g
+            col &= col - 1
+    return rows
+
+
+def conjugate_pauli_inverse(t: CliffordTableau, p: PauliString) -> PauliString:
+    """U^dag p U given the tableau of U, via a GF(2) solve.
+
+    The bit part solves M q = p; the sign is fixed by conjugating the
+    candidate forward and comparing.
+    """
+    if t.n != p.n:
+        raise DimensionMismatch(f"tableau on {t.n} qubits, Pauli on {p.n}")
+    n = t.n
+    vec_p = p.x | (p.z << n)
+    sol = gf2_solve(_matrix_rows(t), [(vec_p >> i) & 1 for i in range(2 * n)], 2 * n)
+    if sol is None:
+        raise ValueError("tableau matrix is singular; not a valid Clifford tableau")
+    q = PauliString.from_bits(n, sol & ((1 << n) - 1), sol >> n, 1)
+    if conjugate_pauli(t, q).sign() != p.sign():
+        q = -q
+    return q
+
+
+def acceptance_probability(
+    u: CliffordTableau, ut: CliffordTableau, q: PauliString, prep: EigenstatePrep
+) -> float:
+    """P(outcome = prep.eigenvalue) for one round with pulled-back Pauli q.
+
+    q must be U^dag P U for the measured observable P, and prep must
+    have been drawn for q.  The probability is
+    (1 + lambda * <psi_in| Ut^dag P Ut |psi_in>) / 2.
+    """
+    if u.n != ut.n or u.n != q.n:
+        raise DimensionMismatch("tableaux and Pauli must share the qubit count")
+    if prep.q != q:
+        raise ValueError(f"prep was drawn for {prep.q}, not for {q}")
+    q_tilde = conjugate_pauli_inverse(ut, conjugate_pauli(u, q))
+    return (1.0 + prep.eigenvalue * expectation_on_prep(prep, q_tilde)) / 2.0

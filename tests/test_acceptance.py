@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 
+from clifford_oracles import acceptance_probability
 from conftest import haar_unitary, random_one_gate_pair
 from qverify.clifford import (
     conjugate_pauli,
@@ -20,7 +21,6 @@ from qverify.clifford import (
 from qverify.cliffordtest import (
     CliffordBlackBox,
     _position_alternatives,
-    acceptance_probability,
     detection_probability_exact,
     entanglement_fidelity_clifford,
     equivalence_verdict,

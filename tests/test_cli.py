@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -245,6 +246,16 @@ class TestProductionLineCommand:
         assert report["post_rate"] <= report["pre_rate"] + 1e-9
 
 
+    def test_subnormal_delta(self, files, capsys):
+        # 1 / 1e-320 overflows to inf; the repetition count must not.
+        code, report = run_json(
+            capsys, "production-line", "--ideal", files["u"], "--batch", "5",
+            "--batches", "3", "--delta", "1e-320", "--seed", "8",
+        )
+        assert code == 0
+        assert report["tests_per_batch"] == 10 * math.ceil(18 * -math.log(1e-320))
+
+
 class TestErrorHandling:
     def test_parse_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.qc"
@@ -273,6 +284,10 @@ class TestErrorHandling:
         "argv",
         [
             ["swap-test", "--u", "u", "--ut", "u", "--shots", "-5"],
+            ["swap-test", "--u", "u", "--ut", "u", "--shots", str(2**63)],
+            ["swap-test", "--u", "u", "--ut", "u", "--shots", "99999999999999999999"],
+            ["distance", "--u", "u", "--ut", "u", "--cap", "0"],
+            ["production-line", "--ideal", "u", "--cap", "-3"],
             ["swap-test", "--u", "u", "--ut", "u", "--seed", "-1"],
             ["clifford-test", "--u", "u", "--ut", "u", "--runs", "0"],
             ["fidelity-bound", "--runs", "0"],
@@ -291,7 +306,8 @@ class TestErrorHandling:
             ["production-line", "--ideal", "u", "--eps", "nan"],
             ["production-line", "--ideal", "u", "--eps", "5"],
         ],
-        ids=["shots", "seed-negative", "runs", "fidelity-runs", "runs-per-candidate", "delta-0", "delta-1",
+        ids=["shots", "shots-2**63", "shots-overflow", "cap-0", "cap-negative", "seed-negative",
+             "runs", "fidelity-runs", "runs-per-candidate", "delta-0", "delta-1",
              "batch-even", "batch-negative", "batches-negative", "depth-3", "depth-0",
              "n-0", "n-negative", "eps-negative", "eps-0", "eps-nan", "eps-5"],
     )
@@ -300,6 +316,12 @@ class TestErrorHandling:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: argument " + argv[-2]) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["clifford-test", "find-error"])
+    def test_cap_only_on_dense_commands(self, files, capsys, command):
+        assert main([command, "--u", files["u"], "--ut", files["u"], "--cap", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: unrecognized arguments: --cap -1\n"
 
     @pytest.mark.parametrize("value", ["abc", "-1"])
     def test_bad_seed_environment_exit_two_one_line(self, files, capsys, monkeypatch, value):

@@ -1,4 +1,4 @@
-"""Core simulation substrate: embedding, application, dagger."""
+"""Core simulation substrate: circuit unitaries, dagger, validation."""
 
 import numpy as np
 import pytest
@@ -6,21 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import embed_oracle, haar_unitary, pauli_kron, random_general_circuit, random_state
+from literal_protocols import _apply, literal_swap_test_probability
 from qverify.core import (
     Circuit,
     Gate,
     GateKind,
-    StateVector,
     UnitaryMatrix,
-    apply_circuit,
-    apply_gate,
-    basis_state,
     circuit_unitary,
     custom_gate,
     dagger,
-    embed_gate,
     gate,
-    zero_state,
 )
 from qverify.errors import (
     CapExceeded,
@@ -63,14 +58,19 @@ class TestCircuitUnitary:
             circuit_unitary(Circuit(5, ()), cap=4)
 
 
+def embed_gate(g: Gate, n: int) -> np.ndarray:
+    return circuit_unitary(Circuit(n, (g,))).matrix
+
+
 class TestEmbedGate:
+    """One gate's circuit unitary: the gate embedded among n qubits."""
+
     def test_x_on_second_qubit_is_i_kron_x(self):
-        u = embed_gate(gate("X", 1), 2)
-        assert np.array_equal(u.matrix, pauli_kron("IX"))
+        assert np.array_equal(embed_gate(gate("X", 1), 2), pauli_kron("IX"))
 
     def test_cnot_reversed_targets(self):
         # Control on qubit 1: swaps |01> and |11>, fixes |00> and |10>.
-        u = embed_gate(gate("CNOT", 1, 0), 2).matrix
+        u = embed_gate(gate("CNOT", 1, 0), 2)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = expected[2, 2] = 1
         expected[3, 1] = expected[1, 3] = 1
@@ -78,8 +78,7 @@ class TestEmbedGate:
 
     def test_custom_gate_non_contiguous_targets(self, rng):
         g = custom_gate(haar_unitary(4, rng), 2, 0)
-        u = embed_gate(g, 3).matrix
-        assert np.allclose(u, embed_oracle(g, 3), atol=1e-12)
+        assert np.allclose(embed_gate(g, 3), embed_oracle(g, 3), atol=1e-12)
 
     def test_permuted_targets_against_oracle(self, rng):
         for _ in range(10):
@@ -87,7 +86,7 @@ class TestEmbedGate:
             k = int(rng.integers(1, 4))
             targets = tuple(int(t) for t in rng.choice(n, size=k, replace=False))
             g = custom_gate(haar_unitary(2**k, rng), *targets)
-            assert np.allclose(embed_gate(g, n).matrix, embed_oracle(g, n), atol=1e-12)
+            assert np.allclose(embed_gate(g, n), embed_oracle(g, n), atol=1e-12)
 
     def test_errors(self):
         with pytest.raises(IndexOutOfRange):
@@ -96,48 +95,48 @@ class TestEmbedGate:
             gate("CNOT", 1, 1)
 
 
+def apply_gates(c: Circuit, state: np.ndarray) -> np.ndarray:
+    """Run `c` gate by gate on a state vector with the literal simulations' `_apply`."""
+    arr = state.reshape([2] * c.n_qubits)
+    for g in c.gates:
+        arr = _apply(arr, g.unitary(), *g.targets)
+    return arr.reshape(-1)
+
+
 class TestApplyCircuit:
+    """Gate-by-gate application to a state, the path the literal protocol
+    simulations take, against the circuit unitary."""
+
     def test_identity_circuit(self, rng):
-        s = StateVector(3, random_state(8, rng))
-        out = apply_circuit(Circuit(3, ()), s)
-        assert np.array_equal(out.amplitudes, s.amplitudes)
+        s = random_state(8, rng)
+        assert np.array_equal(apply_gates(Circuit(3, ()), s), s)
 
     def test_x_flips_most_significant_qubit(self):
-        out = apply_circuit(Circuit(3, (gate("X", 0),)), zero_state(3))
-        assert np.array_equal(out.amplitudes, basis_state(3, 0b100).amplitudes)
+        out = apply_gates(Circuit(3, (gate("X", 0),)), np.eye(8)[0])
+        assert np.array_equal(out, np.eye(8)[0b100])
 
     def test_matches_full_matrix_product(self, rng):
-        # Full-matrix oracle: gate-by-gate tensor application vs the
-        # dense product of embedded unitaries.
         for _ in range(5):
             c = random_general_circuit(6, 20, rng, custom_prob=0.15)
-            s = StateVector(6, random_state(64, rng))
-            via_gates = apply_circuit(c, s).amplitudes
-            via_matrix = circuit_unitary(c).matrix @ s.amplitudes
-            assert np.max(np.abs(via_gates - via_matrix)) <= 1e-9
+            s = random_state(64, rng)
+            assert np.max(np.abs(apply_gates(c, s) - circuit_unitary(c).matrix @ s)) <= 1e-9
 
     def test_matches_full_matrix_product_all_widths(self, rng):
         # 100 random (circuit, state) pairs across n = 1..8
         for i in range(100):
             n = 1 + i % 8
             c = random_general_circuit(n, 12, rng, custom_prob=0.1)
-            s = StateVector(n, random_state(2**n, rng))
-            via_gates = apply_circuit(c, s).amplitudes
-            via_matrix = circuit_unitary(c).matrix @ s.amplitudes
-            assert np.max(np.abs(via_gates - via_matrix)) <= 1e-9
+            s = random_state(2**n, rng)
+            assert np.max(np.abs(apply_gates(c, s) - circuit_unitary(c).matrix @ s)) <= 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            apply_circuit(Circuit(2, ()), zero_state(3))
+            literal_swap_test_probability(Circuit(2, ()), Circuit(3, ()))
 
     def test_apply_gate_matches_embedding(self, rng):
-        s = StateVector(3, random_state(8, rng))
+        s = random_state(8, rng)
         g = gate("CNOT", 2, 0)
-        assert np.allclose(
-            apply_gate(g, s).amplitudes,
-            embed_gate(g, 3).matrix @ s.amplitudes,
-            atol=1e-12,
-        )
+        assert np.allclose(apply_gates(Circuit(3, (g,)), s), embed_oracle(g, 3) @ s, atol=1e-12)
 
 
 class TestDagger:
@@ -190,10 +189,6 @@ class TestValidation:
     def test_circuit_target_bounds(self):
         with pytest.raises(IndexOutOfRange):
             Circuit(2, (gate("X", 2),))
-
-    def test_state_norm_checked(self):
-        with pytest.raises(ValueError):
-            StateVector(1, np.array([1.0, 1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_non_finite_custom_rejected(self, bad):

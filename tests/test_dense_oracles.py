@@ -4,8 +4,6 @@
   basis-enumeration embeddings of each gate.
 * `worst_distance` (shortest eigenphase arc) against the distance from
   the origin to the eigenvalues' convex hull.
-* The black box's `apply`, `apply_inverse` and `apply_conditional`
-  against full-width matrices built by basis enumeration.
 """
 
 import math
@@ -16,11 +14,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import qverify.core as core
-from conftest import embed_oracle, haar_unitary, random_general_circuit, random_state
+from conftest import embed_oracle, haar_unitary, random_general_circuit
 from hull_oracle import hull_worst_distance
-from qverify.core import Circuit, Gate, GateKind, StateVector, UnitaryMatrix, circuit_unitary
+from qverify.core import Circuit, Gate, GateKind, UnitaryMatrix, circuit_unitary
 from qverify.metrics import worst_distance
-from qverify.protocols import ALL_CAPABILITIES, BlackBoxUnitary
 
 ONE_QUBIT_KINDS = [k for k in GateKind if k not in (GateKind.CNOT, GateKind.CUSTOM)]
 
@@ -64,50 +61,6 @@ class TestCircuitUnitaryOracle:
         monkeypatch.setattr(core, "_check_unitary", lambda m, tol: checks.append(tol) or real_check(m, tol))
         circuit_unitary(c)
         assert checks == [core.DERIVED_TOL]
-
-
-@st.composite
-def access_cases(draw):
-    """(circuit, targets, control, state width): targets permuted and
-    possibly non-contiguous, the control anywhere outside them."""
-    c = draw(circuits(max_n=3))
-    width = c.n_qubits + 1 + draw(st.integers(0, 2))
-    order = draw(st.permutations(range(width)))
-    return c, tuple(order[: c.n_qubits]), order[c.n_qubits], width
-
-
-HT = Circuit(2, (Gate(GateKind.H, (0,)), Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.T, (1,))))
-
-
-class TestAccessModeOracle:
-    @given(access_cases(), st.sampled_from([0, 1]), st.integers(0, 2**32 - 1))
-    @example((HT, (1, 2), 0, 3), 1, 0)  # control before the targets
-    @example((HT, (2, 0), 1, 3), 0, 1)  # control between them, targets reversed
-    @example((HT, (0, 2), 3, 4), 1, 2)  # control after them, non-contiguous
-    def test_modes_match_embedded_unitary(self, case, on_value, seed):
-        c, targets, control, width = case
-        u = product_oracle(c)
-        state = StateVector(width, random_state(2**width, np.random.default_rng(seed)))
-        box = BlackBoxUnitary(c, ALL_CAPABILITIES)
-
-        def full(m, qubits):
-            return embed_oracle(Gate(GateKind.CUSTOM, qubits, m), width) @ state.amplitudes
-
-        controlled = np.eye(2 * len(u), dtype=complex)
-        block = slice(len(u), None) if on_value else slice(None, len(u))
-        controlled[block, block] = u
-        got = {
-            "apply": box.apply(state, targets),
-            "apply_inverse": box.apply_inverse(state, targets),
-            "apply_conditional": box.apply_conditional(state, control, on_value, targets),
-        }
-        expected = {
-            "apply": full(u, targets),
-            "apply_inverse": full(u.conj().T, targets),
-            "apply_conditional": full(controlled, (control,) + targets),
-        }
-        for mode, out in got.items():
-            assert np.max(np.abs(out.amplitudes - expected[mode])) <= 1e-12, mode
 
 
 def unitary_with_phases(phases, seed: int) -> np.ndarray:

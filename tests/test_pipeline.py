@@ -10,10 +10,10 @@ from qverify.errors import DomainError, EvenBatch
 from qverify.metrics import one_gate_pair
 from qverify.pipeline import (
     FactoryModel,
+    MajorityTester,
     SwapShotTester,
     batch_failure_bound,
     kl_divergence_binary,
-    majority_tester,
     simulate_production,
     winnow_batch,
 )
@@ -109,18 +109,18 @@ class _CountingBase:
 
 class TestMajorityTester:
     def test_equal_pair_never_fires(self, rng):
-        t = majority_tester(_SyntheticBase(0.0), delta=1e-3)
+        t = MajorityTester(_SyntheticBase(0.0), delta=1e-3)
         assert not any(t.verdict(None, None, rng) for _ in range(1000))
 
     def test_one_sided_detection_floor_one_third(self, rng):
-        t = majority_tester(_SyntheticBase(1 / 3), delta=1e-4)
+        t = MajorityTester(_SyntheticBase(1 / 3), delta=1e-4)
         errors = sum(not t.verdict(None, None, rng) for _ in range(10**5))
         assert errors / 10**5 <= 1e-4
 
     def test_two_sided_majority(self, rng):
         delta = 1e-3
-        differ = majority_tester(_SyntheticBase(2 / 3, one_sided=False), delta=delta)
-        equal = majority_tester(_SyntheticBase(1 / 3, one_sided=False), delta=delta)
+        differ = MajorityTester(_SyntheticBase(2 / 3, one_sided=False), delta=delta)
+        equal = MajorityTester(_SyntheticBase(1 / 3, one_sided=False), delta=delta)
         trials = 10**4
         miss = sum(not differ.verdict(None, None, rng) for _ in range(trials))
         false_alarm = sum(equal.verdict(None, None, rng) for _ in range(trials))
@@ -128,25 +128,30 @@ class TestMajorityTester:
         assert false_alarm / trials <= delta
 
     def test_lax_delta_still_at_least_one_run(self):
-        t = majority_tester(_SyntheticBase(0.5), delta=0.5)
+        t = MajorityTester(_SyntheticBase(0.5), delta=0.5)
         assert t.repetitions >= 1
         assert t.repetitions == int(np.ceil(18 * np.log(2)))
 
+    def test_subnormal_delta(self):
+        # 1 / 1e-320 overflows to inf; -log(delta) stays finite.
+        t = MajorityTester(_SyntheticBase(0.5), delta=1e-320)
+        assert t.repetitions == int(np.ceil(18 * -np.log(1e-320)))
+
     def test_repetition_constant_configurable(self):
-        t = majority_tester(_SyntheticBase(0.5), delta=0.1, repetition_constant=2.0)
+        t = MajorityTester(_SyntheticBase(0.5), delta=0.1, repetition_constant=2.0)
         assert t.repetitions == int(np.ceil(2.0 * np.log(10)))
 
     def test_generic_path_runs_base_r_times(self, rng):
         base = _CountingBase(0.3)
-        t = majority_tester(base, delta=0.5)
+        t = MajorityTester(base, delta=0.5)
         t.verdict(None, None, rng)
         assert base.calls == t.repetitions
 
     def test_delta_domain(self):
         with pytest.raises(DomainError):
-            majority_tester(_SyntheticBase(0.5), delta=0.0)
+            MajorityTester(_SyntheticBase(0.5), delta=0.0)
         with pytest.raises(DomainError):
-            majority_tester(_SyntheticBase(0.5), delta=1.0)
+            MajorityTester(_SyntheticBase(0.5), delta=1.0)
 
 
 class TestSwapShotTester:
@@ -214,7 +219,7 @@ class TestPairTable:
             pipeline, "circuit_unitary", lambda c, cap: builds.append(c) or real_build(c, cap=cap)
         )
         tester = _CountingSwapShotTester()
-        tested = majority_tester(tester, 1e-4)
+        tested = MajorityTester(tester, 1e-4)
         simulate_production(factory, 11, 1000, delta=1e-4, seed=5, tester=tested)
         distinct = 2 + 1  # the two fault options and the ideal circuit
         assert len(builds) <= distinct
@@ -226,8 +231,8 @@ class TestPairTable:
     def test_one_draw_equals_per_pair_loop(self, rng, swap, delta):
         pool = [random_general_circuit(2, 4, rng, custom_prob=0.5) for _ in range(5)]
         pool += [Circuit(2, pool[0].gates)]  # equal to pool[0], built separately
-        one_draw = majority_tester(swap(), delta)
-        per_pair = majority_tester(_HiddenTable(swap()), delta)
+        one_draw = MajorityTester(swap(), delta)
+        per_pair = MajorityTester(_HiddenTable(swap()), delta)
         for seed in range(40):
             batch = [pool[k] for k in rng.integers(0, len(pool), int(rng.choice([1, 3, 5, 11])))]
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -297,7 +302,7 @@ class TestWinnowBatch:
         assert not result.pair_verdicts.diagonal().any()
 
     def test_tests_run_counts_majority_repetitions(self, rng):
-        t = majority_tester(_SyntheticBase(0.0), delta=0.1)
+        t = MajorityTester(_SyntheticBase(0.0), delta=0.1)
         result = winnow_batch([IDEAL] * 5, t, rng)
         assert result.tests_run == 10 * t.repetitions
 
@@ -347,7 +352,7 @@ class TestSimulateProduction:
         summary = simulate_production(make_factory(0.15), 7, 400, delta=1e-3, seed=3)
         assert summary.pre_rate > 0.05
         assert summary.post_rate <= summary.pre_rate
-        assert summary.tests_per_batch == 21 * majority_tester(SwapShotTester(), 1e-3).repetitions
+        assert summary.tests_per_batch == 21 * MajorityTester(SwapShotTester(), 1e-3).repetitions
 
     @pytest.mark.parametrize("f,delta", [(0.05, 1e-3), (0.1, 1e-4), (0.2, 1e-3)])
     def test_never_increases_fault_rate(self, f, delta):
@@ -370,11 +375,11 @@ class TestSimulateProduction:
 
         factory = make_factory(0.15)
         lax = simulate_production(
-            factory, 11, 300, delta=0.4, seed=13, tester=majority_tester(WeakBase(), 0.4)
+            factory, 11, 300, delta=0.4, seed=13, tester=MajorityTester(WeakBase(), 0.4)
         )
         tight = simulate_production(
             factory, 11, 300, delta=1e-4, seed=13,
-            tester=majority_tester(WeakBase(), 1e-4),
+            tester=MajorityTester(WeakBase(), 1e-4),
         )
         assert lax.post_rate > 0.05
         assert tight.post_rate < 0.02

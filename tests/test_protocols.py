@@ -160,7 +160,7 @@ class TestLiteralSimulations:
         c1 = random_general_circuit(n, 10, rng)
         c2 = random_general_circuit(n, 10, rng)
         shortcut = run_swap_test(box(c1), box(c2), shots=1, seed=1).analytic_p
-        literal = literal_swap_test_probability(box(c1), box(c2))
+        literal = literal_swap_test_probability(c1, c2)
         assert shortcut == pytest.approx(literal, abs=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -168,7 +168,7 @@ class TestLiteralSimulations:
         c1 = random_general_circuit(n, 10, rng)
         c2 = random_general_circuit(n, 10, rng)
         shortcut = run_conditional_test(box(c1), box(c2), shots=1, seed=1).analytic_p
-        literal = literal_conditional_test_probability(box(c1), box(c2))
+        literal = literal_conditional_test_probability(c1, c2)
         assert shortcut == pytest.approx(literal, abs=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -176,18 +176,14 @@ class TestLiteralSimulations:
         c1 = random_general_circuit(n, 10, rng)
         c2 = random_general_circuit(n, 10, rng)
         shortcut = run_inverse_test(c1, box(c2), shots=1, seed=1).analytic_p
-        literal = literal_inverse_test_probability(c1, box(c2))
+        literal = literal_inverse_test_probability(c1, c2)
         assert shortcut == pytest.approx(literal, abs=1e-9)
 
     def test_conditional_literal_sees_minus(self, rng):
         c = random_general_circuit(2, 8, rng)
         minus = Circuit(2, c.gates + MINUS_I_GATES)
-        assert literal_conditional_test_probability(box(c), box(minus)) == pytest.approx(
-            1.0, abs=1e-9
-        )
-        assert literal_swap_test_probability(box(c), box(minus)) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        assert literal_conditional_test_probability(c, minus) == pytest.approx(1.0, abs=1e-9)
+        assert literal_swap_test_probability(c, minus) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestBlackBoxOpacity:
@@ -196,35 +192,21 @@ class TestBlackBoxOpacity:
         assert not hasattr(b, "circuit")
         assert not hasattr(b, "gates")
         public = [a for a in dir(b) if not a.startswith("_")]
-        assert set(public) <= {
-            "n_qubits",
-            "capabilities",
-            "require",
-            "apply",
-            "apply_inverse",
-            "apply_conditional",
-        }
+        assert set(public) <= {"n_qubits", "capabilities", "require"}
 
     def test_apply_matches_direct_application(self, rng):
-        from qverify.core import apply_circuit, zero_state
-
+        # The box's one reader returns the hidden circuit's unitary.
         c = random_general_circuit(2, 8, rng)
-        b = box(c)
-        assert np.allclose(
-            b.apply(zero_state(2)).amplitudes,
-            apply_circuit(c, zero_state(2)).amplitudes,
-            atol=1e-12,
-        )
+        got = box(c)._unitary("plain").matrix
+        assert np.array_equal(got, circuit_unitary(c).matrix)
 
     def test_inverse_capability(self, rng):
-        from qverify.core import apply_circuit, zero_state
-
+        # The inverse test builds U^dag classically, so Ut needs only
+        # plain access and no box grants an inverse.
         c = random_general_circuit(2, 8, rng)
-        state = apply_circuit(c, zero_state(2))
-        restored = box(c).apply_inverse(state)
-        assert abs(restored.amplitudes[0]) == pytest.approx(1.0, abs=1e-9)
         with pytest.raises(CapabilityMissing):
-            BlackBoxUnitary(c).apply_inverse(state)
+            BlackBoxUnitary(c, frozenset({"inverse"}))
+        assert run_inverse_test(c, BlackBoxUnitary(c), 10, 1).verdict == "equal"
 
 
 class TestRepeatUntilConfident:
@@ -253,6 +235,15 @@ class TestRepeatUntilConfident:
             failures += verdict != "different"
         assert runs == int(np.ceil(np.log(1 / delta) * 8))
         assert failures / 1000 <= delta
+
+    def test_subnormal_delta(self):
+        # 1 / 1e-320 overflows to inf; -log(delta) stays finite.
+        base = Circuit(2, (gate("H", 0), gate("CNOT", 0, 1)))
+        u, ut = one_gate_pair(base, 0, gate("I", 0))
+        verdict, runs = repeat_until_confident(
+            lambda shots: run_swap_test(box(u), box(ut), shots, seed=0), eps=1.0, delta=1e-320
+        )
+        assert (verdict, runs) == ("different", int(np.ceil(-np.log(1e-320) * 8)))
 
     def test_delta_one_boundary(self, rng):
         c = random_general_circuit(2, 5, rng)

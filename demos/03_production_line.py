@@ -18,21 +18,14 @@ from qverify import (
     custom_gate,
     gate,
     kl_divergence_binary,
-    one_gate_pair,
     simulate_production,
 )
 
 ideal = Circuit(2, (gate("H", 0), gate("CNOT", 0, 1), gate("S", 1)))
 faults = [(0, gate("I", 0)), (2, gate("SDG", 1))]
 
-
-def sampler(rng):
-    pos, g = faults[rng.integers(0, len(faults))]
-    return one_gate_pair(ideal, pos, g)[1]
-
-
 f = 0.1
-factory = FactoryModel(ideal, f, sampler, eps=1.0)
+factory = FactoryModel(ideal, f, faults, eps=1.0)
 
 print("Factory model: ideal = H, CNOT, S on 2 qubits; with probability")
 print(f"f = {f} a circuit ships with its H dropped or its S inverted.")
@@ -67,8 +60,7 @@ print("faults (detection 1/2 per shot) survive even delta = 0.4, so make")
 print("the fault subtle: the phase gate over-rotated by 0.3 radians, at")
 print("worst-case distance ~0.15 and per-shot detection ~1.1%.")
 subtle_matrix = np.array([[1, 0], [0, np.exp(1j * (np.pi / 2 + 0.3))]])
-subtle = one_gate_pair(ideal, 2, custom_gate(subtle_matrix, 1))[1]
-weak_factory = FactoryModel(ideal, f, lambda rng: subtle, eps=0.14)
+weak_factory = FactoryModel(ideal, f, [(2, custom_gate(subtle_matrix, 1))], eps=0.14)
 for delta in (0.4, 1e-4):
     run = simulate_production(weak_factory, 11, 2000, delta, seed=43)
     print(f"  delta = {delta:.0e}: post-winnow rate {run.post_rate:.3e}"

@@ -59,7 +59,6 @@ from .metrics import (
 from .pipeline import (
     BatchResult,
     FactoryModel,
-    MajorityTester,
     SwapShotTester,
     batch_failure_bound,
     kl_divergence_binary,

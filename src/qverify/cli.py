@@ -29,9 +29,9 @@ from .cliffordtest import (
     one_qubit_clifford_circuits,
 )
 from .clifford import random_clifford_circuit, tableau_equal, tableau_from_circuit
-from .core import DEFAULT_QUBIT_CAP, Circuit, Gate, GateKind, UnitaryMatrix, circuit_unitary
+from .core import DEFAULT_QUBIT_CAP, Circuit, Gate, GateKind, circuit_unitary
 from .errors import CandidateNotFound, QverifyError
-from .metrics import detection_probabilities, one_gate_pair, theorem1, worst_distance
+from .metrics import detection_probabilities, theorem1
 from .pipeline import FactoryModel, simulate_production
 from .protocols import (
     ALL_CAPABILITIES,
@@ -128,41 +128,27 @@ _REVERSED_CNOT = np.array(
 )
 
 
-def _fault_options(ideal: Circuit, eps: float) -> list[Circuit]:
-    """All single-gate replacements of `ideal` at worst-case distance >= eps.
+def _replacements(ideal: Circuit) -> list[tuple[int, Gate]]:
+    """Every single-gate replacement of `ideal` the fault model allows.
 
-    By the transfer identity Dmax(U, Ut) = Dmax(G, Gt), each replacement
-    is screened on the two gate matrices; no circuit unitary is built.
+    Each named one-qubit gate may become any other alphabet gate and a
+    CNOT its reversal; CUSTOM gates are left alone.
     """
     options = []
     for pos, g in enumerate(ideal.gates):
         if g.kind is GateKind.CNOT:
-            alternatives = [Gate(GateKind.CUSTOM, g.targets, _REVERSED_CNOT)]
-        elif g.kind is GateKind.CUSTOM:
-            continue
-        else:
-            alternatives = [Gate(k, g.targets) for k in _FAULT_ALPHABET if k is not g.kind]
-        original = UnitaryMatrix(g.unitary())
-        for alt in alternatives:
-            if worst_distance(original, UnitaryMatrix(alt.unitary())) >= eps - 1e-9:
-                options.append(one_gate_pair(ideal, pos, alt)[1])
+            options.append((pos, Gate(GateKind.CUSTOM, g.targets, _REVERSED_CNOT)))
+        elif g.kind is not GateKind.CUSTOM:
+            options += [(pos, Gate(k, g.targets)) for k in _FAULT_ALPHABET if k is not g.kind]
     return options
 
 
 def _cmd_production_line(args: argparse.Namespace) -> tuple[int, dict]:
     ideal = load_circuit(args.ideal)
-    options = _fault_options(ideal, args.eps)
-    if not options:
-        raise QverifyError(
-            f"no single-gate replacement of the ideal circuit reaches eps={args.eps}"
-        )
-
-    def sampler(rng: np.random.Generator) -> Circuit:
-        # The same objects every time, so the tester builds each unitary once.
-        return options[rng.integers(0, len(options))]
-
-    factory = FactoryModel(ideal, args.fault_prob, sampler, args.eps, cap=args.cap)
-    summary = simulate_production(factory, args.batch, args.batches, args.delta, args.seed)
+    factory = FactoryModel(ideal, args.fault_prob, _replacements(ideal), args.eps)
+    summary = simulate_production(
+        factory, args.batch, args.batches, args.delta, args.seed, cap=args.cap
+    )
     out = _base_report(args)
     out.update(
         {
@@ -174,7 +160,7 @@ def _cmd_production_line(args: argparse.Namespace) -> tuple[int, dict]:
             "discarded_total": summary.discarded_total,
             "overfull_rate": summary.overfull_rate,
             "bound": summary.bound,
-            "fault_options": len(options),
+            "fault_options": len(factory.faults),
         }
     )
     return 0, out

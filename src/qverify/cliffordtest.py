@@ -140,15 +140,11 @@ class CliffordTestReport:
 
 
 def run_test_once(
-    u: Circuit,
-    ut: CliffordBlackBox,
-    rng: np.random.Generator,
-    u_dagger_tableau: CliffordTableau | None = None,
+    u_dagger_tableau: CliffordTableau, ut: CliffordBlackBox, rng: np.random.Generator
 ) -> TestRun:
-    """One randomized round; classical cost linear in the size of u."""
-    td = u_dagger_tableau if u_dagger_tableau is not None else tableau_dagger(u)
-    p = random_pauli(u.n_qubits, rng)
-    q = conjugate_pauli(td, p)
+    """One randomized round against the precomputed tableau of U^dag."""
+    p = random_pauli(u_dagger_tableau.n, rng)
+    q = conjugate_pauli(u_dagger_tableau, p)
     prep = prepare_input(q, rng)
     outcome = ut.run_and_measure(prep, p, rng)
     return TestRun(pauli=p, conjugated=q, eigenvalue=prep.eigenvalue, outcome=outcome)
@@ -167,9 +163,7 @@ def equivalence_verdict(
     if u.n_qubits != ut.n_qubits:
         raise DimensionMismatch(f"{u.n_qubits} vs {ut.n_qubits} qubits")
     td = tableau_dagger(u)
-    runs = tuple(
-        run_test_once(u, ut, rng_from_seed(seed, i), td) for i in range(repetitions)
-    )
+    runs = tuple(run_test_once(td, ut, rng_from_seed(seed, i)) for i in range(repetitions))
     rejections = sum(r.rejected for r in runs)
     return CliffordTestReport(
         runs=runs,
@@ -292,7 +286,7 @@ def find_error(
         td = tableau_dagger(candidate)
         rng = rng_from_seed(seed, index)
         for _ in range(repetitions):
-            if run_test_once(candidate, ut, rng, td).rejected:
+            if run_test_once(td, ut, rng).rejected:
                 break
         else:
             return candidate

@@ -11,23 +11,24 @@ tester removes exactly the faulty circuits.
 The swap-shot tester keys circuits by content: each distinct circuit
 gets one row of a table of pair probabilities and one unitary, built
 on first sight, so the work and memory of a run grow with the number
-of distinct circuits, not with the number of batches.  A batch tested
-through a majority wrapper over that tester costs one table lookup and
-one vectorised binomial draw.
+of distinct circuits, not with the number of batches.  A batch costs
+one table lookup and one vectorised binomial draw.  The table grows in
+place, so a tester serves one run in one thread; `simulate_production`
+builds its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_QUBIT_CAP, Circuit, circuit_unitary
-from .errors import DomainError, EvenBatch
-from .metrics import _clamp01, worst_distance
+from .core import DEFAULT_QUBIT_CAP, Circuit, Gate, UnitaryMatrix, circuit_unitary
+from .errors import CapExceeded, DomainError, EvenBatch
+from .metrics import _clamp01, one_gate_pair, worst_distance
 from .seeding import rng_from_seed
 
 
@@ -71,31 +72,20 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-class PairwiseTester(Protocol):
-    """Verdict True means 'not equal'."""
-
-    repetitions: int
-    one_sided: bool
-
-    def verdict(self, a: Circuit, b: Circuit, rng: np.random.Generator) -> bool: ...
-
-
 class SwapShotTester:
-    """Base tester: a single swap-test shot per pair.
+    """One-sided pairwise tester: r = ceil(18 ln(1/delta)) swap-test shots.
 
-    One-sided: equal circuits never fire.  Circuits are keyed by
-    content, so equal circuits built separately share one table row and
-    one unitary.  `pair_probabilities` reads a batch's pairs from a table
-    over those rows, filling an entry by `shot_probability` the first
-    time its pair is seen; unitaries are built only there.  Under a
-    majority wrapper, `winnow_batch` draws the whole batch from that
-    table with one binomial call.
+    A pair is 'not equal' as soon as one shot fires; equal circuits
+    never fire.  `pair_probabilities` reads a batch's pairs from the
+    content-keyed table, filling an entry by `shot_probability` the
+    first time its pair is seen; unitaries are built only there.
     """
 
-    one_sided = True
-    repetitions = 1
-
-    def __init__(self, cap: int = DEFAULT_QUBIT_CAP):
+    def __init__(self, delta: float, cap: int = DEFAULT_QUBIT_CAP):
+        if not 0.0 < delta < 1.0:
+            raise DomainError(f"delta must lie in (0, 1), got {delta}")
+        # -log(delta), not log(1/delta): 1/delta overflows for subnormal delta.
+        self.repetitions = max(1, math.ceil(18.0 * -math.log(delta)))
         self._cap = cap
         self._rows: dict[Circuit, int] = {}
         self._unitaries: dict[int, np.ndarray] = {}
@@ -131,77 +121,51 @@ class SwapShotTester:
                 self._table[a[k], b[k]] = self.shot_probability(batch[i[k]], batch[j[k]])
         return self._table[a, b]
 
-    def verdict(self, a: Circuit, b: Circuit, rng: np.random.Generator) -> bool:
-        return bool(rng.random() < self.shot_probability(a, b))
+    def pair_verdicts(self, batch: Sequence[Circuit], rng: np.random.Generator) -> np.ndarray:
+        """'Not equal' verdicts of the pairs i < j of `batch`, in row-major order.
 
-
-class MajorityTester:
-    """Error-reduced wrapper around a base pairwise tester.
-
-    Runs the base r = ceil(constant * ln(1/delta)) times.  For a
-    two-sided base (success >= 2/3 per run) it takes the strict
-    majority; a one-sided base never fires on equal pairs, so there
-    the verdict is 'not equal' as soon as any run fires.
-    """
-
-    def __init__(self, base, delta: float, repetition_constant: float = 18.0):
-        if not 0.0 < delta < 1.0:
-            raise DomainError(f"delta must lie in (0, 1), got {delta}")
-        self.base = base
-        self.one_sided = bool(getattr(base, "one_sided", False))
-        per_run = getattr(base, "repetitions", 1)
-        # -log(delta), not log(1/delta): 1/delta overflows for subnormal delta.
-        self.majority_runs = max(1, math.ceil(repetition_constant * -math.log(delta)))
-        self.repetitions = self.majority_runs * per_run
-
-    def verdict(self, a: Circuit, b: Circuit, rng: np.random.Generator) -> bool:
-        r = self.majority_runs
-        if hasattr(self.base, "shot_probability") and self.base.repetitions == 1:
-            # Distribution-identical shortcut: one binomial draw.
-            fires = int(rng.binomial(r, self.base.shot_probability(a, b)))
-        else:
-            fires = sum(bool(self.base.verdict(a, b, rng)) for _ in range(r))
-        return bool(self._decide(fires))
-
-    def _decide(self, fires):
-        """'Not equal' for a count (or array of counts) of base runs that fired."""
-        if self.one_sided:
-            return fires > 0
-        return fires > self.majority_runs / 2
+        One binomial draw for the whole batch: numpy draws an array in
+        the same stream, and so to the same counts, as one draw per pair.
+        """
+        return rng.binomial(self.repetitions, self.pair_probabilities(batch)) > 0
 
 
 @dataclass(frozen=True)
 class FactoryModel:
-    """Source of circuits: the ideal one w.p. 1-f, else a sampled fault.
+    """Source of circuits: the ideal one w.p. 1-f, else a uniform fault.
 
-    Every fault the sampler can produce must sit at worst-case distance
-    at least eps from the ideal circuit; this is spot-checked on 20
-    samples at construction time.
+    `replacements` lists candidate faults as (position, gate) pairs.
+    By the transfer identity Dmax(U, Ut) = Dmax(G, Gt), each is screened
+    once on the two gate matrices, and those at distance >= eps become
+    `faults`; no circuit unitary is built.  The model never changes, so
+    runs may share it; each run's tester is its own.
     """
 
     ideal: Circuit
     fault_prob: float
-    fault_sampler: Callable[[np.random.Generator], Circuit]
+    replacements: Sequence[tuple[int, Gate]]
     eps: float
-    cap: int = DEFAULT_QUBIT_CAP
+    faults: tuple[Circuit, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.fault_prob < 0.5:
             raise DomainError(f"fault_prob must lie in [0, 1/2), got {self.fault_prob}")
-        ideal_u = circuit_unitary(self.ideal, cap=self.cap)
-        check_rng = np.random.default_rng(0)
-        for _ in range(20):
-            faulty = self.fault_sampler(check_rng)
-            d = worst_distance(ideal_u, circuit_unitary(faulty, cap=self.cap), cap=self.cap)
-            if d < self.eps - 1e-9:
-                raise DomainError(
-                    f"fault sampler produced worst-case distance {d:.6f} < eps {self.eps}"
-                )
+        faults = []
+        for pos, g in self.replacements:
+            faulty = one_gate_pair(self.ideal, pos, g)[1]  # checks position and targets
+            original = UnitaryMatrix(self.ideal.gates[pos].unitary())
+            if worst_distance(original, UnitaryMatrix(g.unitary())) >= self.eps - 1e-9:
+                faults.append(faulty)
+        if not faults:
+            raise DomainError(
+                f"no single-gate replacement of the ideal circuit reaches eps={self.eps}"
+            )
+        object.__setattr__(self, "faults", tuple(faults))
 
     def sample(self, rng: np.random.Generator) -> tuple[Circuit, bool]:
         """One circuit off the line plus its ground-truth faulty flag."""
         if rng.random() < self.fault_prob:
-            return self.fault_sampler(rng), True
+            return self.faults[rng.integers(0, len(self.faults))], True
         return self.ideal, False
 
 
@@ -219,7 +183,7 @@ class BatchResult:
 
 def winnow_batch(
     batch: Sequence[Circuit],
-    tester,
+    tester: SwapShotTester,
     rng: np.random.Generator,
     truth: Sequence[bool] | None = None,
 ) -> BatchResult:
@@ -233,18 +197,8 @@ def winnow_batch(
     if n % 2 == 0:
         raise EvenBatch(f"batch size must be odd, got {n}")
     rows, cols = _pairs(n)
-    base = getattr(tester, "base", None)
-    drawn = isinstance(tester, MajorityTester) and hasattr(base, "pair_probabilities")
-    if drawn and base.repetitions == 1:
-        # One binomial draw for all pairs: numpy draws an array in the
-        # same stream, and so to the same counts, as one draw per pair.
-        p = base.pair_probabilities(batch)
-        verdicts = tester._decide(rng.binomial(tester.majority_runs, p))
-    else:
-        pairs = zip(rows.tolist(), cols.tolist())
-        verdicts = [tester.verdict(batch[i], batch[j], rng) for i, j in pairs]
     table = np.zeros((n, n), dtype=bool)
-    table[rows, cols] = verdicts
+    table[rows, cols] = tester.pair_verdicts(batch, rng)
     table |= table.T
     counts = table.sum(axis=1)
     discarded = tuple(i for i in range(n) if counts[i] > (n - 1) // 2)
@@ -256,7 +210,7 @@ def winnow_batch(
         discarded=discarded,
         truth=tuple(truth) if truth is not None else None,
         pair_verdicts=table,
-        tests_run=(n * (n - 1) // 2) * getattr(tester, "repetitions", 1),
+        tests_run=len(rows) * tester.repetitions,
     )
 
 
@@ -281,19 +235,21 @@ def simulate_production(
     batches: int,
     delta: float,
     seed: int,
-    tester=None,
+    cap: int = DEFAULT_QUBIT_CAP,
 ) -> ProductionSummary:
     """Run many batches through winnowing and measure the fault rates.
 
     pre_rate is the observed factory fault fraction, post_rate the
     faulty fraction among kept circuits.  overfull_rate measures how
     often more than half a batch was faulty, for comparison against
-    batch_failure_bound.
+    batch_failure_bound.  The run gets a fresh tester of its own; an
+    ideal circuit wider than `cap` qubits is refused before any batch.
     """
     if batch_size % 2 == 0:
         raise EvenBatch(f"batch size must be odd, got {batch_size}")
-    if tester is None:
-        tester = MajorityTester(SwapShotTester(cap=factory.cap), delta)
+    if factory.ideal.n_qubits > cap:
+        raise CapExceeded(f"{factory.ideal.n_qubits} qubits exceeds dense cap {cap}")
+    tester = SwapShotTester(delta, cap)
     total = 0
     faulty_total = 0
     kept_total = 0

@@ -149,7 +149,7 @@ def test_criterion_06_clifford_soundness():
             assert acceptance_probability(t, t, q, prep) == 1.0
         box = CliffordBlackBox(c)
         for _ in range(100):
-            run = run_test_once(c, box, rng, td)
+            run = run_test_once(td, box, rng)
             rejections += run.outcome != run.eigenvalue
     report(6, "equal Cliffords never rejected (1e4 runs)", rejections == 0)
 
@@ -291,12 +291,7 @@ def test_criterion_12_production_line_winnowing():
     ideal = Circuit(2, (gate("H", 0), gate("CNOT", 0, 1), gate("S", 1)))
     # Both faults sit at Dmax = 1 and give single-shot detection 1/2 >= 1/3.
     options = [(0, gate("I", 0)), (2, gate("SDG", 1))]
-
-    def sampler(rng):
-        pos, g = options[rng.integers(0, len(options))]
-        return one_gate_pair(ideal, pos, g)[1]
-
-    factory = FactoryModel(ideal, 0.1, sampler, eps=1.0)
+    factory = FactoryModel(ideal, 0.1, options, eps=1.0)
     for pos, g in options:
         faulty = one_gate_pair(ideal, pos, g)[1]
         p = detection_probabilities(circuit_unitary(ideal), circuit_unitary(faulty)).p_swap

@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from conftest import random_general_circuit
-from qverify import cli, pipeline
+from qverify import cli, core, pipeline
 from qverify.circuit_format import load_circuit, save_circuit
 from qverify.cli import main
 from qverify.core import Circuit, Gate, GateKind, circuit_unitary, gate
-from qverify.errors import ParseError
+from qverify.errors import DomainError, ParseError
 from qverify.metrics import one_gate_pair, worst_distance
+from qverify.pipeline import FactoryModel
 
 BELL = Circuit(2, (gate("H", 0), gate("CNOT", 0, 1)))
 BELL_SHIFTED = Circuit(2, (gate("H", 0), gate("CNOT", 0, 1), gate("X", 0)))
@@ -188,7 +189,15 @@ def _fault_options_by_circuit_unitary(ideal, eps):
             faulty = one_gate_pair(ideal, pos, alt)[1]
             if worst_distance(ideal_u, circuit_unitary(faulty)) >= eps - 1e-9:
                 options.append(faulty)
-    return options
+    return tuple(options)
+
+
+def _screened_faults(ideal, eps):
+    """The production line's faults: the CLI's replacements, screened by the factory."""
+    try:
+        return FactoryModel(ideal, 0.1, cli._replacements(ideal), eps).faults
+    except DomainError:  # no replacement reaches eps
+        return ()
 
 
 class TestFaultOptions:
@@ -203,17 +212,19 @@ class TestFaultOptions:
                 ideals.append((ideal, float(argv[argv.index("--eps") + 1])))
         assert len(ideals) == 39
         for ideal, eps in ideals:
-            assert cli._fault_options(ideal, eps) == _fault_options_by_circuit_unitary(ideal, eps)
+            assert _screened_faults(ideal, eps) == _fault_options_by_circuit_unitary(ideal, eps)
 
     @pytest.mark.parametrize("eps", [0.3, 0.5, 0.9, 1.0])
     def test_general_circuits_match_full_unitary_screen(self, rng, eps):
         for _ in range(5):
             ideal = random_general_circuit(3, 8, rng, custom_prob=0.2)
-            assert cli._fault_options(ideal, eps) == _fault_options_by_circuit_unitary(ideal, eps)
+            assert _screened_faults(ideal, eps) == _fault_options_by_circuit_unitary(ideal, eps)
 
     def test_builds_no_circuit_unitary(self, rng, monkeypatch):
-        monkeypatch.setattr(cli, "circuit_unitary", lambda *a, **k: pytest.fail("unitary built"))
-        assert cli._fault_options(random_general_circuit(4, 12, rng), 0.5)
+        # Every dense build contracts its gates through core._contract.
+        monkeypatch.setattr(core, "_contract", lambda *a: pytest.fail("unitary built"))
+        ideal = random_general_circuit(4, 12, rng)
+        assert FactoryModel(ideal, 0.1, cli._replacements(ideal), 0.5).faults
 
 
 class TestProductionLineCommand:
@@ -245,6 +256,15 @@ class TestProductionLineCommand:
         assert set(report) >= {"pre_rate", "post_rate", "tests_per_batch", "bound"}
         assert report["post_rate"] <= report["pre_rate"] + 1e-9
 
+    def test_cap_checked_before_any_batch(self, tmp_path, capsys):
+        # A batch of one circuit has no pair, so no unitary is ever built:
+        # only an up-front check can refuse the 3-qubit ideal.
+        ideal = tmp_path / "ghz.qc"
+        save_circuit(Circuit(3, (gate("H", 0), gate("CNOT", 0, 1), gate("CNOT", 1, 2))), ideal)
+        argv = ["production-line", "--ideal", str(ideal), "--cap", "2", "--batch", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_subnormal_delta(self, files, capsys):
         # 1 / 1e-320 overflows to inf; the repetition count must not.

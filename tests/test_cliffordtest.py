@@ -305,7 +305,7 @@ class TestRunOnce:
         box = CliffordBlackBox(u)
         td = tableau_dagger(u)
         for _ in range(300):
-            run = run_test_once(u, box, rng, td)
+            run = run_test_once(td, box, rng)
             assert run.outcome == run.eigenvalue
 
     def test_identity_observable_is_wasted_run(self, rng):
@@ -345,7 +345,7 @@ class TestRunOnce:
         box = CliffordBlackBox(ut)
         td = tableau_dagger(u)
         trials = 10**4
-        rejects = sum(run_test_once(u, box, rng, td).rejected for _ in range(trials))
+        rejects = sum(run_test_once(td, box, rng).rejected for _ in range(trials))
         sigma = np.sqrt(exact * (1 - exact) / trials)
         assert abs(rejects / trials - exact) <= 4 * sigma
 

@@ -1,16 +1,15 @@
-"""Winnowing pipeline: KL bound, majority wrapping, batch discipline."""
+"""Winnowing pipeline: KL bound, repeated swap shots, batch discipline."""
 
 import numpy as np
 import pytest
 
 import qverify.pipeline as pipeline
 from conftest import random_general_circuit
-from qverify.core import Circuit, gate
-from qverify.errors import DomainError, EvenBatch
+from qverify.core import Circuit, custom_gate, gate
+from qverify.errors import CapExceeded, DomainError, EvenBatch
 from qverify.metrics import one_gate_pair
 from qverify.pipeline import (
     FactoryModel,
-    MajorityTester,
     SwapShotTester,
     batch_failure_bound,
     kl_divergence_binary,
@@ -19,6 +18,17 @@ from qverify.pipeline import (
 )
 
 LN2 = float(np.log(2))
+
+IDEAL = Circuit(1, (gate("H", 0),))
+DISTINCT_FAULTS = [Circuit(1, (gate(k, 0),)) for k in ("X", "Y", "Z", "S", "SDG")]
+
+# H -> I and S -> SDG both sit at worst-case distance 1 and give a
+# single-shot swap detection of 1/2.
+LINE_FAULTS = [(0, gate("I", 0)), (2, gate("SDG", 1))]
+
+
+def line_ideal():
+    return Circuit(2, (gate("H", 0), gate("CNOT", 0, 1), gate("S", 1)))
 
 
 class TestKLDivergence:
@@ -76,89 +86,54 @@ class TestBatchFailureBound:
         assert overfull <= batch_failure_bound(f, n)
 
 
-class _SyntheticBase:
-    """Fires with fixed probability p; one- or two-sided per flag."""
+class _FixedShot(SwapShotTester):
+    """Every pair's swap shot fires with fixed probability p."""
 
-    repetitions = 1
-
-    def __init__(self, p, one_sided=True):
+    def __init__(self, p, delta):
+        super().__init__(delta)
         self.p = p
-        self.one_sided = one_sided
 
     def shot_probability(self, a, b):
         return self.p
 
-    def verdict(self, a, b, rng):
-        return rng.random() < self.p
+
+# 448 circuits make 100,128 pairs, each an independent draw of r shots.
+MANY = 448
 
 
-class _CountingBase:
-    """Generic-path base without shot_probability."""
-
-    repetitions = 1
-    one_sided = True
-
-    def __init__(self, p):
-        self.p = p
-        self.calls = 0
-
-    def verdict(self, a, b, rng):
-        self.calls += 1
-        return rng.random() < self.p
-
-
-class TestMajorityTester:
+class TestRepeatedShots:
     def test_equal_pair_never_fires(self, rng):
-        t = MajorityTester(_SyntheticBase(0.0), delta=1e-3)
-        assert not any(t.verdict(None, None, rng) for _ in range(1000))
+        t = _FixedShot(0.0, delta=1e-3)
+        assert not any(t.pair_verdicts([IDEAL, DISTINCT_FAULTS[0]], rng)[0] for _ in range(1000))
 
     def test_one_sided_detection_floor_one_third(self, rng):
-        t = MajorityTester(_SyntheticBase(1 / 3), delta=1e-4)
-        errors = sum(not t.verdict(None, None, rng) for _ in range(10**5))
-        assert errors / 10**5 <= 1e-4
-
-    def test_two_sided_majority(self, rng):
-        delta = 1e-3
-        differ = MajorityTester(_SyntheticBase(2 / 3, one_sided=False), delta=delta)
-        equal = MajorityTester(_SyntheticBase(1 / 3, one_sided=False), delta=delta)
-        trials = 10**4
-        miss = sum(not differ.verdict(None, None, rng) for _ in range(trials))
-        false_alarm = sum(equal.verdict(None, None, rng) for _ in range(trials))
-        assert miss / trials <= delta
-        assert false_alarm / trials <= delta
+        t = _FixedShot(1 / 3, delta=1e-4)
+        verdicts = t.pair_verdicts([IDEAL] * MANY, rng)
+        assert len(verdicts) >= 10**5
+        assert np.mean(~verdicts) <= 1e-4
 
     def test_lax_delta_still_at_least_one_run(self):
-        t = MajorityTester(_SyntheticBase(0.5), delta=0.5)
+        t = SwapShotTester(delta=0.5)
         assert t.repetitions >= 1
         assert t.repetitions == int(np.ceil(18 * np.log(2)))
 
     def test_subnormal_delta(self):
         # 1 / 1e-320 overflows to inf; -log(delta) stays finite.
-        t = MajorityTester(_SyntheticBase(0.5), delta=1e-320)
+        t = SwapShotTester(delta=1e-320)
         assert t.repetitions == int(np.ceil(18 * -np.log(1e-320)))
-
-    def test_repetition_constant_configurable(self):
-        t = MajorityTester(_SyntheticBase(0.5), delta=0.1, repetition_constant=2.0)
-        assert t.repetitions == int(np.ceil(2.0 * np.log(10)))
-
-    def test_generic_path_runs_base_r_times(self, rng):
-        base = _CountingBase(0.3)
-        t = MajorityTester(base, delta=0.5)
-        t.verdict(None, None, rng)
-        assert base.calls == t.repetitions
 
     def test_delta_domain(self):
         with pytest.raises(DomainError):
-            MajorityTester(_SyntheticBase(0.5), delta=0.0)
+            SwapShotTester(delta=0.0)
         with pytest.raises(DomainError):
-            MajorityTester(_SyntheticBase(0.5), delta=1.0)
+            SwapShotTester(delta=1.0)
 
 
 class TestSwapShotTester:
     def test_equal_circuits_never_fire(self, rng):
         # Rounding leaves 0.5 - 0.5 |v|^2 at ~1e-15 on equal pairs; the
         # one-sided tester must report exactly 0.
-        tester = SwapShotTester()
+        tester = SwapShotTester(1e-3)
         for _ in range(60):
             n = int(rng.integers(1, 6))
             c = random_general_circuit(n, 20, rng, custom_prob=0.2)
@@ -170,7 +145,7 @@ class TestSwapShotTester:
 
     def test_pair_probabilities_match_shot_probability(self, rng):
         pool = [random_general_circuit(2, 6, rng, custom_prob=0.5) for _ in range(4)]
-        tester, reference = SwapShotTester(), SwapShotTester()
+        tester, reference = SwapShotTester(1e-3), SwapShotTester(1e-3)
         for _ in range(20):
             batch = [pool[k] for k in rng.integers(0, len(pool), 7)]
             expected = [
@@ -183,7 +158,7 @@ class TestSwapShotTester:
 
 class _CountingSwapShotTester(SwapShotTester):
     def __init__(self):
-        super().__init__()
+        super().__init__(1e-4)
         self.calls = 0
 
     def shot_probability(self, a, b):
@@ -191,48 +166,47 @@ class _CountingSwapShotTester(SwapShotTester):
         return super().shot_probability(a, b)
 
 
-class _TwoSidedSwapShotTester(SwapShotTester):
-    one_sided = False
+class _PerPairSwapShotTester(SwapShotTester):
+    """Reference: one scalar binomial draw per pair, pair by pair."""
+
+    def pair_verdicts(self, batch, rng):
+        n = len(batch)
+        fires = [
+            rng.binomial(self.repetitions, self.shot_probability(batch[i], batch[j])) > 0
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+        return np.array(fires, dtype=bool)
 
 
-class _HiddenTable:
-    """A swap-shot tester without `pair_probabilities`: winnow_batch then
-    tests pair by pair through the wrapper's `verdict`."""
-
-    repetitions = 1
-
-    def __init__(self, base):
-        self._base = base
-        self.one_sided = base.one_sided
-
-    def shot_probability(self, a, b):
-        return self._base.shot_probability(a, b)
+def _fresh_line_circuit(k):
+    """Option k of the test factory as a new object: 0 is the ideal, else a fault."""
+    ideal = line_ideal()
+    return ideal if k == 0 else one_gate_pair(ideal, *LINE_FAULTS[k - 1])[1]
 
 
 class TestPairTable:
-    def test_fresh_equal_circuits_share_one_unitary(self, monkeypatch):
-        # make_factory's sampler builds a new (equal) Circuit on every draw.
-        factory = make_factory(0.2)
+    def test_fresh_equal_circuits_share_one_unitary(self, rng, monkeypatch):
         builds = []
         real_build = pipeline.circuit_unitary
         monkeypatch.setattr(
             pipeline, "circuit_unitary", lambda c, cap: builds.append(c) or real_build(c, cap=cap)
         )
         tester = _CountingSwapShotTester()
-        tested = MajorityTester(tester, 1e-4)
-        simulate_production(factory, 11, 1000, delta=1e-4, seed=5, tester=tested)
+        for _ in range(300):
+            batch = [_fresh_line_circuit(k) for k in rng.integers(0, 3, 11)]
+            winnow_batch(batch, tester, rng)
         distinct = 2 + 1  # the two fault options and the ideal circuit
         assert len(builds) <= distinct
         assert len(tester._unitaries) <= distinct
         assert tester.calls <= distinct**2
 
-    @pytest.mark.parametrize("swap", [SwapShotTester, _TwoSidedSwapShotTester])
     @pytest.mark.parametrize("delta", [0.4, 1e-4, 1e-30])
-    def test_one_draw_equals_per_pair_loop(self, rng, swap, delta):
+    def test_one_draw_equals_per_pair_loop(self, rng, delta):
         pool = [random_general_circuit(2, 4, rng, custom_prob=0.5) for _ in range(5)]
         pool += [Circuit(2, pool[0].gates)]  # equal to pool[0], built separately
-        one_draw = MajorityTester(swap(), delta)
-        per_pair = MajorityTester(_HiddenTable(swap()), delta)
+        one_draw = SwapShotTester(delta)
+        per_pair = _PerPairSwapShotTester(delta)
         for seed in range(40):
             batch = [pool[k] for k in rng.integers(0, len(pool), int(rng.choice([1, 3, 5, 11])))]
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -247,14 +221,10 @@ class _OracleTester:
     """Error-free pairwise tester: fires exactly when circuits differ."""
 
     repetitions = 1
-    one_sided = True
 
-    def verdict(self, a, b, rng):
-        return a != b
-
-
-IDEAL = Circuit(1, (gate("H", 0),))
-DISTINCT_FAULTS = [Circuit(1, (gate(k, 0),)) for k in ("X", "Y", "Z", "S", "SDG")]
+    def pair_verdicts(self, batch, rng):
+        n = len(batch)
+        return np.array([batch[i] != batch[j] for i in range(n) for j in range(i + 1, n)], bool)
 
 
 class TestWinnowBatch:
@@ -302,29 +272,22 @@ class TestWinnowBatch:
         assert not result.pair_verdicts.diagonal().any()
 
     def test_tests_run_counts_majority_repetitions(self, rng):
-        t = MajorityTester(_SyntheticBase(0.0), delta=0.1)
+        t = SwapShotTester(delta=0.1)
         result = winnow_batch([IDEAL] * 5, t, rng)
         assert result.tests_run == 10 * t.repetitions
 
 
 def make_factory(fault_prob=0.1):
-    ideal = Circuit(2, (gate("H", 0), gate("CNOT", 0, 1), gate("S", 1)))
-    # H -> I and S -> SDG both sit at worst-case distance 1 and give a
-    # single-shot swap detection of 1/2.
-    options = [(0, gate("I", 0)), (2, gate("SDG", 1))]
-
-    def sampler(rng):
-        pos, g = options[rng.integers(0, len(options))]
-        return one_gate_pair(ideal, pos, g)[1]
-
-    return FactoryModel(ideal, fault_prob, sampler, eps=1.0)
+    return FactoryModel(line_ideal(), fault_prob, LINE_FAULTS, eps=1.0)
 
 
 class TestFactoryModel:
     def test_validates_fault_distance(self):
         ideal = Circuit(1, (gate("H", 0),))
         with pytest.raises(DomainError):
-            FactoryModel(ideal, 0.1, lambda rng: ideal, eps=0.5)
+            FactoryModel(ideal, 0.1, [(0, gate("H", 0))], eps=0.5)
+        factory = FactoryModel(ideal, 0.1, [(0, gate("H", 0)), (0, gate("X", 0))], eps=0.5)
+        assert factory.faults == (Circuit(1, (gate("X", 0),)),)
 
     def test_sample_rates(self, rng):
         factory = make_factory(0.25)
@@ -352,7 +315,7 @@ class TestSimulateProduction:
         summary = simulate_production(make_factory(0.15), 7, 400, delta=1e-3, seed=3)
         assert summary.pre_rate > 0.05
         assert summary.post_rate <= summary.pre_rate
-        assert summary.tests_per_batch == 21 * MajorityTester(SwapShotTester(), 1e-3).repetitions
+        assert summary.tests_per_batch == 21 * SwapShotTester(1e-3).repetitions
 
     @pytest.mark.parametrize("f,delta", [(0.05, 1e-3), (0.1, 1e-4), (0.2, 1e-3)])
     def test_never_increases_fault_rate(self, f, delta):
@@ -360,30 +323,28 @@ class TestSimulateProduction:
         assert summary.post_rate <= summary.pre_rate
 
     def test_lax_delta_degrades_post_rate(self):
-        # With a weakly-detecting base tester (5% per shot), delta = 0.4
-        # leaves faulty circuits mostly unflagged while delta = 1e-4
+        # S over-rotated by theta = 2 arcsin(sqrt(0.1)) sits at Dmax =
+        # sqrt(0.1) and fires a swap shot with p = Dmax^2 / 2 = 0.05.  delta
+        # = 0.4 leaves such faults mostly unflagged while delta = 1e-4
         # still catches them: the delta << 1/n^2 regime matters.
-        class WeakBase:
-            one_sided = True
-            repetitions = 1
-
-            def shot_probability(self, a, b):
-                return 0.0 if a == b else 0.05
-
-            def verdict(self, a, b, rng):
-                return rng.random() < self.shot_probability(a, b)
-
-        factory = make_factory(0.15)
-        lax = simulate_production(
-            factory, 11, 300, delta=0.4, seed=13, tester=MajorityTester(WeakBase(), 0.4)
-        )
-        tight = simulate_production(
-            factory, 11, 300, delta=1e-4, seed=13,
-            tester=MajorityTester(WeakBase(), 1e-4),
-        )
+        theta = 2 * np.arcsin(np.sqrt(0.1))
+        over_rotated = custom_gate(np.diag([1, np.exp(1j * (np.pi / 2 + theta))]), 1)
+        factory = FactoryModel(line_ideal(), 0.15, [(2, over_rotated)], eps=0.3)
+        [fault] = factory.faults
+        assert SwapShotTester(0.4).shot_probability(factory.ideal, fault) == pytest.approx(0.05)
+        lax = simulate_production(factory, 11, 300, delta=0.4, seed=13)
+        tight = simulate_production(factory, 11, 300, delta=1e-4, seed=13)
         assert lax.post_rate > 0.05
         assert tight.post_rate < 0.02
         assert lax.post_rate > 3 * tight.post_rate
+
+    def test_cap_checked_before_any_batch(self, monkeypatch):
+        # A batch of one circuit has no pair, so no unitary would be built.
+        monkeypatch.setattr(pipeline, "winnow_batch", lambda *a: pytest.fail("batch run"))
+        ghz = Circuit(3, (gate("H", 0), gate("CNOT", 0, 1), gate("CNOT", 1, 2)))
+        factory = FactoryModel(ghz, 0.1, [(0, gate("X", 0))], eps=0.5)
+        with pytest.raises(CapExceeded):
+            simulate_production(factory, 1, 1, delta=1e-3, seed=0, cap=2)
 
     def test_even_batch_rejected(self):
         with pytest.raises(EvenBatch):

@@ -44,6 +44,7 @@ from .core import (
     custom_gate,
     dagger,
     gate,
+    window,
 )
 from .metrics import (
     DistanceReport,

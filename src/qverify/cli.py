@@ -29,7 +29,7 @@ from .cliffordtest import (
     one_qubit_clifford_circuits,
 )
 from .clifford import random_clifford_circuit, tableau_equal, tableau_from_circuit
-from .core import DEFAULT_QUBIT_CAP, Circuit, Gate, GateKind, circuit_unitary
+from .core import DEFAULT_QUBIT_CAP, Circuit, Gate, GateKind, window
 from .errors import CandidateNotFound, QverifyError
 from .metrics import detection_probabilities, theorem1
 from .pipeline import FactoryModel, simulate_production
@@ -69,9 +69,8 @@ def _protocol_report(outcome) -> dict:
 
 
 def _cmd_distance(args: argparse.Namespace) -> tuple[int, dict]:
-    u = circuit_unitary(load_circuit(args.u), cap=args.cap)
-    ut = circuit_unitary(load_circuit(args.ut), cap=args.cap)
-    report = detection_probabilities(u, ut, cap=args.cap)
+    u = load_circuit(args.u)
+    report = detection_probabilities(*window(u, load_circuit(args.ut), cap=args.cap), cap=args.cap)
     lhs, rhs, holds = theorem1(report, u.n_qubits)
     verdict = "equal" if report.avg_distance <= EQUALITY_TOL else "different"
     out = _base_report(args)

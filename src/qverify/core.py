@@ -16,6 +16,11 @@ Conventions used throughout the package:
   so it costs O(2^k) per entry and is never embedded as a 2^n x 2^n
   matrix.  Whole unitaries are built this way, from an identity tensor
   with the columns as one batch axis.
+* Two circuits are compared on their window (``window``): strip the
+  shared gate prefix A and suffix B, and the middles X and Y touch only
+  m qubits.  Then U^dag Ut = A^dag (X^dag Y (x) I) A, so the overlap
+  Tr(U^dag Ut) / 2^n = Tr(X^dag Y) / 2^m, the eigenphases and the
+  distances all come from two 2^m x 2^m unitaries.
 
 Dense objects are capped at ``DEFAULT_QUBIT_CAP`` qubits (configurable
 per call) to bound memory.  Everything here is immutable after
@@ -255,6 +260,44 @@ def circuit_unitary(c: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> UnitaryMatrix:
     for g in c.gates:
         arr = _contract(arr, g.unitary(), g.targets)
     return UnitaryMatrix(arr.reshape(dim, dim), tol=DERIVED_TOL)
+
+
+def window(
+    a: Circuit, b: Circuit, cap: int = DEFAULT_QUBIT_CAP
+) -> tuple[UnitaryMatrix, UnitaryMatrix]:
+    """The unitaries X and Y of the middles where `a` and `b` differ.
+
+    The gate lists are cut into a shared prefix A, the middles and a
+    shared suffix B, so U^dag Ut = A^dag (X^dag Y (x) I) A.  X and Y act
+    on the m qubits the middles touch, relabelled 0..m-1 in increasing
+    order, and carry every quantity that depends only on U^dag Ut's
+    spectrum: Tr(U^dag Ut) / 2^n = Tr(X^dag Y) / 2^m, the eigenphases,
+    and the phase-aligned residual per dimension.  Equal lists give two
+    1-qubit identities.  `cap` bounds the width of the full circuits.
+    """
+    for c in (a, b):
+        if c.n_qubits > cap:
+            raise CapExceeded(f"{c.n_qubits} qubits exceeds dense cap {cap}")
+    if a.n_qubits != b.n_qubits:
+        raise DimensionMismatch(f"dimensions differ: {2**a.n_qubits} vs {2**b.n_qubits}")
+    ga, gb = a.gates, b.gates
+    shorter = min(len(ga), len(gb))
+    start = 0
+    while start < shorter and ga[start] == gb[start]:
+        start += 1
+    end = 0
+    while end < shorter - start and ga[-1 - end] == gb[-1 - end]:
+        end += 1
+    middles = (ga[start : len(ga) - end], gb[start : len(gb) - end])
+    qubits = sorted({t for middle in middles for g in middle for t in g.targets})
+    label = {q: i for i, q in enumerate(qubits)}
+    m = max(len(qubits), 1)
+
+    def unitary(middle) -> UnitaryMatrix:
+        relabelled = (Gate(g.kind, tuple(label[t] for t in g.targets), g.matrix) for g in middle)
+        return circuit_unitary(Circuit(m, tuple(relabelled)), cap=cap)
+
+    return unitary(middles[0]), unitary(middles[1])
 
 
 def dagger(c: Circuit) -> Circuit:

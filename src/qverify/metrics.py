@@ -14,6 +14,13 @@ is the verification target.  Since W = U^dag V is unitary, the set
 circle, so Dmax follows from the shortest arc holding W's
 eigenphases.  This module computes both exactly, plus the
 single-gate transfer identities and the named adversarial examples.
+
+Every quantity here depends on U and V only through W's spectrum and
+its overlap per dimension, so it may be given the window unitaries X
+and Y of two circuits (`core.window`) in place of the full ones: W is
+A^dag (X^dag Y (x) I) A there, with the same eigenphases, the same
+Tr(W) / 2^n = Tr(X^dag Y) / 2^m and the same phase-aligned residual
+per dimension.  Only theorem 1's bound needs the full width n.
 """
 
 from __future__ import annotations

@@ -135,10 +135,11 @@ class FactoryModel:
     """Source of circuits: the ideal one w.p. 1-f, else a uniform fault.
 
     `replacements` lists candidate faults as (position, gate) pairs.
-    By the transfer identity Dmax(U, Ut) = Dmax(G, Gt), each is screened
-    once on the two gate matrices, and those at distance >= eps become
-    `faults`; no circuit unitary is built.  The model never changes, so
-    runs may share it; each run's tester is its own.
+    By the transfer identity Dmax(U, Ut) = Dmax(G, Gt) (the one-gate
+    case of `core.window`), each is screened on the two gate matrices,
+    once per distinct pair of matrices, and those at distance >= eps
+    become `faults`; no circuit unitary is built.  The model never
+    changes, so runs may share it; each run's tester is its own.
     """
 
     ideal: Circuit
@@ -150,11 +151,26 @@ class FactoryModel:
     def __post_init__(self):
         if not 0.0 <= self.fault_prob < 0.5:
             raise DomainError(f"fault_prob must lie in [0, 1/2), got {self.fault_prob}")
+        # Keyed by matrix content, so every position sharing a gate pair
+        # (every reversed CNOT, say) shares one check.
+        matrices: dict[bytes, UnitaryMatrix] = {}
+        reaches: dict[tuple[bytes, bytes], bool] = {}
+
+        def key(g: Gate) -> bytes:
+            m = g.unitary()
+            k = m.tobytes()
+            if k not in matrices:
+                matrices[k] = UnitaryMatrix(m)
+            return k
+
         faults = []
         for pos, g in self.replacements:
             faulty = one_gate_pair(self.ideal, pos, g)[1]  # checks position and targets
-            original = UnitaryMatrix(self.ideal.gates[pos].unitary())
-            if worst_distance(original, UnitaryMatrix(g.unitary())) >= self.eps - 1e-9:
+            pair = (key(self.ideal.gates[pos]), key(g))
+            if pair not in reaches:
+                distance = worst_distance(matrices[pair[0]], matrices[pair[1]])
+                reaches[pair] = distance >= self.eps - 1e-9
+            if reaches[pair]:
                 faults.append(faulty)
         if not faults:
             raise DomainError(

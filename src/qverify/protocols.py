@@ -2,14 +2,16 @@
 
 The protocols never read a wrapped circuit's gate list; they only use
 the access the black box grants (plain or conditional application).
-The box's one reader, `_unitary`, builds its dense unitary U for a
-caller holding the capability a protocol needs.  Each protocol fires
-with a probability that depends only on the overlap
-v = Tr(U^dag Ut) / 2^n, so protocols run on circuits of up to `cap`
-qubits, like `distance`.  Shot outcomes are drawn from that analytic
-Bernoulli parameter, which has exactly the same distribution as
-simulating the full test circuit shot by shot but keeps 10^5-shot runs
-instant.
+Each protocol fires with a probability that depends only on the overlap
+v = Tr(U^dag Ut) / 2^n, and v = Tr(X^dag Y) / 2^m on the window where
+the two circuits differ (`core.window`: strip the shared gate prefix
+and suffix, keep the m qubits the middles X and Y touch).  The box's
+one reader, `_window`, returns those two 2^m x 2^m unitaries to a
+caller holding the capability a protocol needs, so the hidden circuits
+stay inside the box.  Protocols take circuits of up to `cap` qubits,
+like `distance`.  Shot outcomes are drawn from the analytic Bernoulli
+parameter, which has exactly the same distribution as simulating the
+full test circuit shot by shot but keeps 10^5-shot runs instant.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import DEFAULT_QUBIT_CAP, Circuit, UnitaryMatrix, circuit_unitary
+from .core import DEFAULT_QUBIT_CAP, Circuit, UnitaryMatrix, window
 from .errors import CapabilityMissing
 from .metrics import _clamp01, trace_overlap
 from .seeding import rng_from_seed
@@ -32,8 +34,9 @@ class BlackBoxUnitary:
     """Opaque handle over a circuit, exposing only gated access.
 
     The wrapped gate list is not reachable through the public surface;
-    protocols see the qubit count, and the unitary only through
-    `_unitary` with a capability the flags allow.
+    protocols see the qubit count, and the unitary only as its window
+    against another circuit, through `_window` with a capability the
+    flags allow.
     """
 
     def __init__(self, circuit: Circuit, capabilities: frozenset[str] = frozenset({CAP_PLAIN})):
@@ -55,10 +58,18 @@ class BlackBoxUnitary:
         if capability not in self._capabilities:
             raise CapabilityMissing(f"black box does not grant {capability!r}")
 
-    def _unitary(self, capability: str, cap: int = DEFAULT_QUBIT_CAP) -> UnitaryMatrix:
-        """The hidden unitary, for callers holding `capability`."""
+    def _window(
+        self, capability: str, other: Circuit | BlackBoxUnitary, cap: int = DEFAULT_QUBIT_CAP
+    ) -> tuple[UnitaryMatrix, UnitaryMatrix]:
+        """The window unitaries (X, Y) of `other` (U) against the hidden circuit (Ut).
+
+        Both boxes must grant `capability` when `other` is a box.
+        """
         self.require(capability)
-        return circuit_unitary(self.__circuit, cap=cap)
+        if isinstance(other, BlackBoxUnitary):
+            other.require(capability)
+            other = other.__circuit
+        return window(other, self.__circuit, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -108,7 +119,7 @@ def run_swap_test(
 
     Phase-blind: Ut = e^(i theta) U gives p = 0.
     """
-    v = trace_overlap(u._unitary(CAP_PLAIN, cap), ut._unitary(CAP_PLAIN, cap))
+    v = trace_overlap(*ut._window(CAP_PLAIN, u, cap))
     p = _clamp01(0.5 - 0.5 * abs(v) ** 2)
     return _outcome("swap", shots, p, seed)
 
@@ -124,7 +135,7 @@ def run_conditional_test(
 
     Unlike the swap test this sees the relative phase: p(U, -U) = 1.
     """
-    v = trace_overlap(u._unitary(CAP_CONDITIONAL, cap), ut._unitary(CAP_CONDITIONAL, cap))
+    v = trace_overlap(*ut._window(CAP_CONDITIONAL, u, cap))
     p = _clamp01(0.5 - 0.5 * v.real)
     return _outcome("conditional", shots, p, seed)
 
@@ -142,7 +153,7 @@ def run_inverse_test(
     a black box.  Per shot the all-zeros check fails with probability
     D(U, Ut)^2.
     """
-    v = trace_overlap(circuit_unitary(u, cap=cap), ut._unitary(CAP_PLAIN, cap))
+    v = trace_overlap(*ut._window(CAP_PLAIN, u, cap))
     p = _clamp01(1.0 - abs(v) ** 2)
     return _outcome("inverse", shots, p, seed)
 

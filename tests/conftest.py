@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from qverify.core import Circuit, Gate, GateKind
 
@@ -89,6 +94,29 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+ONE_QUBIT_KINDS = [k for k in GateKind if k not in (GateKind.CNOT, GateKind.CUSTOM)]
+
+
+@st.composite
+def gates_on(draw, n: int) -> Gate:
+    """A named or CUSTOM gate on a permuted, possibly non-contiguous target list."""
+    kind = draw(st.sampled_from(ONE_QUBIT_KINDS + [GateKind.CNOT, GateKind.CUSTOM]))
+    if kind is GateKind.CNOT and n < 2:
+        kind = GateKind.CUSTOM
+    k = {GateKind.CNOT: 2, GateKind.CUSTOM: draw(st.integers(1, min(3, n)))}.get(kind, 1)
+    targets = tuple(draw(st.permutations(range(n)))[:k])
+    if kind is GateKind.CUSTOM:
+        seed = draw(st.integers(0, 2**32 - 1))
+        return Gate(kind, targets, haar_unitary(2**k, np.random.default_rng(seed)))
+    return Gate(kind, targets)
+
+
+@st.composite
+def circuits(draw, max_n: int = 5, min_n: int = 1) -> Circuit:
+    n = draw(st.integers(min_n, max_n))
+    return Circuit(n, tuple(draw(st.lists(gates_on(n), max_size=10))))
+
+
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
@@ -147,6 +175,16 @@ def random_one_gate_pair(n, rng, k=None, non_contiguous=False):
     position = int(rng.integers(0, base.n_gates + 1))
     gates = base.gates[:position] + (original,) + base.gates[position:]
     return one_gate_pair(Circuit(n, gates), position, replacement), (original, replacement), k
+
+
+def load_benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, which writes the benchmark's circuit files."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -1,10 +1,15 @@
 """Circuit text format: parsing, emission, exact round trips."""
 
-import pytest
+import math
 
-from conftest import random_general_circuit
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from conftest import gates_on, random_general_circuit
 from qverify.circuit_format import emit_circuit, load_circuit, parse_circuit, save_circuit
-from qverify.core import Circuit, GateKind, gate
+from qverify.core import Circuit, Gate, GateKind, gate
 from qverify.errors import NonUnitaryCustomGate, ParseError, UnknownGate
 
 
@@ -76,3 +81,45 @@ def test_file_round_trip(tmp_path, rng):
     path = tmp_path / "c.qc"
     save_circuit(c, path)
     assert load_circuit(path) == c
+
+
+# Signed zeros and subnormals: far below the unitarity tolerance, so
+# they may sit anywhere in a CUSTOM matrix, and a lossy round trip
+# would change the gate's bytes.
+_TINY = st.sampled_from([0.0, -0.0, 5e-324, -5e-324]) | st.floats(-1e-308, 1e-308)
+
+
+@st.composite
+def edge_custom_gates(draw, n: int) -> Gate:
+    """A permutation matrix with unit phases, every zero replaced by a tiny value."""
+    k = draw(st.integers(1, min(2, n)))
+    d = 2**k
+    perm = draw(st.permutations(range(d)))
+    m = np.array([[complex(draw(_TINY), draw(_TINY)) for _ in range(d)] for _ in range(d)])
+    for col, row in enumerate(perm):
+        theta = draw(st.floats(-math.pi, math.pi))
+        m[row, col] = complex(math.cos(theta), math.sin(theta))
+    return Gate(GateKind.CUSTOM, tuple(draw(st.permutations(range(n)))[:k]), m)
+
+
+@st.composite
+def format_circuits(draw) -> Circuit:
+    n = draw(st.integers(1, 4))
+    gates = st.one_of(gates_on(n), edge_custom_gates(n))
+    return Circuit(n, tuple(draw(st.lists(gates, max_size=8))))
+
+
+def _matrix_bytes(c: Circuit) -> list[bytes | None]:
+    return [g.matrix.tobytes() if g.matrix is not None else None for g in c.gates]
+
+
+_SIGNED = np.array([[1, complex(-0.0, 5e-324)], [complex(0.0, -0.0), -1]])
+
+
+@given(format_circuits())
+@example(Circuit(1, (Gate(GateKind.CUSTOM, (0,), _SIGNED),)))
+def test_parse_emit_is_identity(c):
+    reparsed = parse_circuit(emit_circuit(c))
+    assert reparsed == c
+    # Gate equality lets -0.0 equal 0.0; the bytes keep the sign too.
+    assert _matrix_bytes(reparsed) == _matrix_bytes(c)

@@ -1,14 +1,11 @@
 """CLI surface: exit codes, JSON reports, reproducibility."""
 
-import importlib.util
 import json
 import math
-import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import random_general_circuit
+from conftest import load_benchmark_workloads, random_general_circuit
 from qverify import cli, core, pipeline
 from qverify.circuit_format import load_circuit, save_circuit
 from qverify.cli import main
@@ -21,6 +18,9 @@ BELL = Circuit(2, (gate("H", 0), gate("CNOT", 0, 1)))
 BELL_SHIFTED = Circuit(2, (gate("H", 0), gate("CNOT", 0, 1), gate("X", 0)))
 BELL_REPLACED = Circuit(2, (gate("X", 0), gate("CNOT", 0, 1)))
 BELL_T = Circuit(2, (gate("H", 0), gate("CNOT", 0, 1), gate("T", 1)))
+
+# The subcommands that compare two circuits on dense unitaries.
+DENSE_PAIR_COMMANDS = ["distance", "swap-test", "conditional-test", "inverse-test"]
 
 
 @pytest.fixture
@@ -164,16 +164,6 @@ class TestCliffordCommands:
         assert report["bound_holds"] is True
 
 
-def _load_benchmark_workloads(monkeypatch):
-    """perfbench/workloads.py, which writes the benchmark's circuit files."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
-
-
 def _fault_options_by_circuit_unitary(ideal, eps):
     """The fault options screened on the full circuit unitaries."""
     ideal_u = circuit_unitary(ideal)
@@ -202,7 +192,7 @@ def _screened_faults(ideal, eps):
 
 class TestFaultOptions:
     def test_benchmark_ideals_match_full_unitary_screen(self, tmp_path, monkeypatch):
-        workloads = _load_benchmark_workloads(monkeypatch)
+        workloads = load_benchmark_workloads(monkeypatch)
         ideals = []
         for seed in (1, 2, 11):
             plan = workloads.make_plan("production-line", seed, tmp_path / str(seed))
@@ -358,6 +348,22 @@ class TestErrorHandling:
         assert main(["distance", "--u", str(bad), "--ut", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", DENSE_PAIR_COMMANDS)
+    def test_width_mismatch_exit_two_one_line(self, files, tmp_path, capsys, command):
+        wide = tmp_path / "wide.qc"
+        save_circuit(Circuit(3, BELL.gates), wide)
+        assert main([command, "--u", files["u"], "--ut", str(wide)]) == 2
+        assert capsys.readouterr().err == "error: dimensions differ: 4 vs 8\n"
+
+    @pytest.mark.parametrize("command", DENSE_PAIR_COMMANDS)
+    @pytest.mark.parametrize("cap", [2, core.DEFAULT_QUBIT_CAP])
+    def test_equal_pair_above_cap_exit_two_one_line(self, tmp_path, capsys, command, cap):
+        # An equal pair has an empty window, but --cap bounds the circuit width.
+        path = tmp_path / "wide.qc"
+        save_circuit(Circuit(cap + 1, (gate("H", cap),)), path)
+        assert main([command, "--u", str(path), "--ut", str(path), "--cap", str(cap)]) == 2
+        assert capsys.readouterr().err == f"error: {cap + 1} qubits exceeds dense cap {cap}\n"
 
     def test_usage_error(self, capsys):
         assert main(["distance"]) == 2

@@ -4,6 +4,9 @@
   basis-enumeration embeddings of each gate.
 * `worst_distance` (shortest eigenphase arc) against the distance from
   the origin to the eigenvalues' convex hull.
+* `window` (the 2^m window where two circuits differ) against the full
+  2^n unitaries: overlap, D, Dmax and the three protocols' shot
+  probabilities.
 """
 
 import math
@@ -14,32 +17,25 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import qverify.core as core
-from conftest import embed_oracle, haar_unitary, random_general_circuit
+from conftest import (
+    circuits,
+    embed_oracle,
+    gates_on,
+    haar_unitary,
+    load_benchmark_workloads,
+    random_general_circuit,
+)
 from hull_oracle import hull_worst_distance
-from qverify.core import Circuit, Gate, GateKind, UnitaryMatrix, circuit_unitary
-from qverify.metrics import worst_distance
-
-ONE_QUBIT_KINDS = [k for k in GateKind if k not in (GateKind.CNOT, GateKind.CUSTOM)]
-
-
-@st.composite
-def gates_on(draw, n: int) -> Gate:
-    """A named or CUSTOM gate on a permuted, possibly non-contiguous target list."""
-    kind = draw(st.sampled_from(ONE_QUBIT_KINDS + [GateKind.CNOT, GateKind.CUSTOM]))
-    if kind is GateKind.CNOT and n < 2:
-        kind = GateKind.CUSTOM
-    k = {GateKind.CNOT: 2, GateKind.CUSTOM: draw(st.integers(1, min(3, n)))}.get(kind, 1)
-    targets = tuple(draw(st.permutations(range(n)))[:k])
-    if kind is GateKind.CUSTOM:
-        seed = draw(st.integers(0, 2**32 - 1))
-        return Gate(kind, targets, haar_unitary(2**k, np.random.default_rng(seed)))
-    return Gate(kind, targets)
-
-
-@st.composite
-def circuits(draw, max_n: int = 5) -> Circuit:
-    n = draw(st.integers(1, max_n))
-    return Circuit(n, tuple(draw(st.lists(gates_on(n), max_size=10))))
+from qverify.circuit_format import load_circuit
+from qverify.core import Circuit, Gate, GateKind, UnitaryMatrix, circuit_unitary, custom_gate, gate, window
+from qverify.metrics import detection_probabilities, worst_distance
+from qverify.protocols import (
+    ALL_CAPABILITIES,
+    BlackBoxUnitary,
+    run_conditional_test,
+    run_inverse_test,
+    run_swap_test,
+)
 
 
 def product_oracle(c: Circuit) -> np.ndarray:
@@ -138,3 +134,117 @@ class TestWorstDistanceOracle:
             arc, hull = arc_and_hull([math.pi] * 2**n, seed)
             assert arc <= 1e-12
             assert hull <= 1e-7
+
+
+def assert_window_matches_full(a: Circuit, b: Circuit) -> int:
+    """Compare the window's values with the full ones; returns the window's width."""
+    x, y = window(a, b)
+    assert x.n_qubits == y.n_qubits
+    u, ut = circuit_unitary(a), circuit_unitary(b)
+    full = detection_probabilities(u, ut)
+    win = detection_probabilities(x, y)
+    assert abs(win.trace_overlap - full.trace_overlap) <= 1e-12
+    assert win.avg_distance == pytest.approx(full.avg_distance, abs=1e-12)
+    assert win.worst_distance == pytest.approx(full.worst_distance, abs=1e-9)
+    # The protocols read the window through the box; the full values
+    # are the closed forms on the full overlap.
+    boxes = BlackBoxUnitary(a, ALL_CAPABILITIES), BlackBoxUnitary(b, ALL_CAPABILITIES)
+    assert run_swap_test(*boxes, 1, 0).analytic_p == pytest.approx(full.p_swap, abs=1e-12)
+    assert run_conditional_test(*boxes, 1, 0).analytic_p == pytest.approx(full.p_conditional, abs=1e-12)
+    inverse = run_inverse_test(a, boxes[1], 1, 0).analytic_p
+    assert inverse == pytest.approx(1 - full.ent_fidelity, abs=1e-12)
+    return x.n_qubits
+
+
+@st.composite
+def window_pairs(draw, max_n: int = 6) -> tuple[Circuit, Circuit, int]:
+    """Two circuits around middles that may differ, and the middles' width.
+
+    Either shared part may be empty (a window at either end, or over the
+    whole circuit), the middles may be empty or of different lengths, and
+    they act on a drawn subset of the qubits, often not contiguous.
+    """
+    n = draw(st.integers(1, max_n))
+    shared = st.lists(gates_on(n), max_size=6)
+    prefix, suffix = tuple(draw(shared)), tuple(draw(shared))
+    subset = sorted(draw(st.permutations(range(n)))[: draw(st.integers(1, n))])
+    middle = st.lists(gates_on(len(subset)), max_size=4)
+
+    def placed(gates):
+        return tuple(Gate(g.kind, tuple(subset[t] for t in g.targets), g.matrix) for g in gates)
+
+    xa, xb = placed(draw(middle)), placed(draw(middle))
+    return Circuit(n, prefix + xa + suffix), Circuit(n, prefix + xb + suffix), len(subset)
+
+
+_T = gate("T", 2)
+_CUSTOM = custom_gate(haar_unitary(4, np.random.default_rng(5)), 4, 1)
+_TAIL = (gate("H", 0), gate("CNOT", 0, 3), gate("S", 5), _CUSTOM)
+# name: (a, b, width of their window)
+_EDGE_PAIRS = {
+    "empty window": (Circuit(6, _TAIL), Circuit(6, _TAIL), 1),
+    "window at the start": (Circuit(6, (_T,) + _TAIL), Circuit(6, (gate("X", 2),) + _TAIL), 1),
+    "window at the end": (Circuit(6, _TAIL + (_T,)), Circuit(6, _TAIL), 1),
+    "non-contiguous CUSTOM window": (
+        Circuit(6, _TAIL[:2] + (_CUSTOM,) + _TAIL[2:]),
+        Circuit(6, _TAIL[:2] + (custom_gate(haar_unitary(4, np.random.default_rng(6)), 4, 1),) + _TAIL[2:]),
+        2,
+    ),
+    "different lengths": (
+        Circuit(6, _TAIL),
+        Circuit(6, _TAIL[:2] + (gate("H", 5), gate("H", 5)) + _TAIL[2:]),
+        1,
+    ),
+    "whole circuit": (
+        Circuit(6, _TAIL + (gate("CNOT", 1, 2),)),
+        Circuit(6, (gate("T", 1),) + _TAIL + (gate("CNOT", 2, 1),)),
+        6,
+    ),
+}
+
+
+class TestWindowOracle:
+    @given(window_pairs())
+    def test_matches_full_unitaries(self, pair):
+        a, b, width = pair
+        assert assert_window_matches_full(a, b) <= width
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(circuits(n, n), circuits(n, n))))
+    def test_unrelated_circuits_match_full_unitaries(self, pair):
+        assert_window_matches_full(*pair)
+
+    @pytest.mark.parametrize("case", list(_EDGE_PAIRS))
+    def test_edge_cases_match_full_unitaries(self, case):
+        a, b, width = _EDGE_PAIRS[case]
+        assert assert_window_matches_full(a, b) == width
+
+    def test_whole_circuit_window(self):
+        a, b, _ = _EDGE_PAIRS["whole circuit"]
+        assert np.array_equal(window(a, b)[0].matrix, circuit_unitary(a).matrix)
+
+    def test_empty_window_is_exactly_equal(self):
+        x, y = window(*_EDGE_PAIRS["empty window"][:2])
+        assert np.array_equal(x.matrix, np.eye(2)) and np.array_equal(y.matrix, np.eye(2))
+        report = detection_probabilities(x, y)
+        assert report.trace_overlap == 1
+        assert report.avg_distance == report.worst_distance == 0.0
+
+    def test_relabels_in_increasing_qubit_order(self):
+        # The middles touch qubits 4 and 1; the CUSTOM gate lists 4 first,
+        # so on the window's qubits (1 -> 0, 4 -> 1) it acts on (1, 0).
+        x, _ = window(*_EDGE_PAIRS["non-contiguous CUSTOM window"][:2])
+        relabelled = Circuit(2, (Gate(GateKind.CUSTOM, (1, 0), _CUSTOM.matrix),))
+        assert np.array_equal(x.matrix, circuit_unitary(relabelled).matrix)
+
+    def test_benchmark_dense_pairs_match_full_unitaries(self, tmp_path, monkeypatch):
+        workloads = load_benchmark_workloads(monkeypatch)
+        pairs = 0
+        for seed in (1, 2, 11):
+            plan = workloads.make_plan("dense-mix", seed, tmp_path / str(seed))
+            for request in (plan.warmup, *plan.requests):
+                argv = list(request.argv)
+                a = load_circuit(argv[argv.index("--u") + 1])
+                b = load_circuit(argv[argv.index("--ut") + 1])
+                assert assert_window_matches_full(a, b) <= 2
+                pairs += 1
+        assert pairs == 57

@@ -5,9 +5,9 @@ import pytest
 
 import qverify.pipeline as pipeline
 from conftest import random_general_circuit
-from qverify.core import Circuit, custom_gate, gate
+from qverify.core import Circuit, UnitaryMatrix, custom_gate, gate
 from qverify.errors import CapExceeded, DomainError, EvenBatch
-from qverify.metrics import one_gate_pair
+from qverify.metrics import one_gate_pair, worst_distance
 from qverify.pipeline import (
     FactoryModel,
     SwapShotTester,
@@ -288,6 +288,25 @@ class TestFactoryModel:
             FactoryModel(ideal, 0.1, [(0, gate("H", 0))], eps=0.5)
         factory = FactoryModel(ideal, 0.1, [(0, gate("H", 0)), (0, gate("X", 0))], eps=0.5)
         assert factory.faults == (Circuit(1, (gate("X", 0),)),)
+
+    def test_screens_each_distinct_matrix_pair_once(self, monkeypatch):
+        # The H positions share H -> X, and the two reversed CNOTs
+        # (separate CUSTOM arrays, equal content) share one check.
+        reversed_cnot = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]])
+        ideal = Circuit(3, (gate("H", 0), gate("CNOT", 0, 1), gate("H", 1), gate("CNOT", 2, 1), gate("H", 2)))
+        replacements = [
+            (0, gate("X", 0)), (1, custom_gate(reversed_cnot, 0, 1)), (2, gate("X", 1)),
+            (3, custom_gate(reversed_cnot, 2, 1)), (4, gate("T", 2)), (4, gate("X", 2)),
+        ]
+        reference = tuple(
+            one_gate_pair(ideal, p, g)[1]
+            for p, g in replacements
+            if worst_distance(UnitaryMatrix(ideal.gates[p].unitary()), UnitaryMatrix(g.unitary())) >= 0.5 - 1e-9
+        )
+        calls = []
+        monkeypatch.setattr(pipeline, "worst_distance", lambda u, v: calls.append(1) or worst_distance(u, v))
+        assert FactoryModel(ideal, 0.1, replacements, eps=0.5).faults == reference
+        assert len(calls) == 3  # H -> X, CNOT -> reversed CNOT, H -> T
 
     def test_sample_rates(self, rng):
         factory = make_factory(0.25)

@@ -195,10 +195,23 @@ class TestBlackBoxOpacity:
         assert set(public) <= {"n_qubits", "capabilities", "require"}
 
     def test_apply_matches_direct_application(self, rng):
-        # The box's one reader returns the hidden circuit's unitary.
+        # The box's one reader returns the window of another circuit or
+        # box against the hidden circuit; against the empty circuit, with
+        # every qubit touched, that is the hidden circuit's unitary.
+        c = Circuit(2, (gate("CNOT", 0, 1),) + random_general_circuit(2, 8, rng).gates)
+        empty = Circuit(2, ())
+        for other in (empty, box(empty)):
+            identity, got = box(c)._window("plain", other)
+            assert np.array_equal(got.matrix, circuit_unitary(c).matrix)
+            assert np.array_equal(identity.matrix, np.eye(4))
+
+    def test_window_needs_the_capability_on_both_boxes(self, rng):
         c = random_general_circuit(2, 8, rng)
-        got = box(c)._unitary("plain").matrix
-        assert np.array_equal(got, circuit_unitary(c).matrix)
+        with pytest.raises(CapabilityMissing):
+            box(c)._window("conditional", BlackBoxUnitary(c))
+        with pytest.raises(CapabilityMissing):
+            BlackBoxUnitary(c)._window("conditional", box(c))
+        box(c)._window("conditional", c)  # a known circuit needs no grant
 
     def test_inverse_capability(self, rng):
         # The inverse test builds U^dag classically, so Ut needs only

@@ -128,8 +128,16 @@ def detection_probabilities(
 
 
 def theorem1(report: DistanceReport, n_qubits: int) -> tuple[float, float, bool]:
-    """Dmax <= 2^((n+1)/2) * D on an n-qubit report; returns (lhs, rhs, holds)."""
-    rhs = 2.0 ** ((n_qubits + 1) / 2.0) * report.avg_distance
+    """Dmax <= 2^((n+1)/2) * D on an n-qubit report; returns (lhs, rhs, holds).
+
+    From n = 2047 the factor passes the float range: rhs is then inf
+    when D > 0 and 0.0 when D = 0.
+    """
+    d = report.avg_distance
+    try:
+        rhs = 2.0 ** ((n_qubits + 1) / 2.0) * d
+    except OverflowError:
+        rhs = math.inf if d else 0.0
     return report.worst_distance, rhs, report.worst_distance <= rhs + 1e-9
 
 

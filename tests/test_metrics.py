@@ -1,5 +1,7 @@
 """Distance metrics: closed forms, eigenphase-arc worst case, transfer identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from conftest import haar_unitary, random_general_circuit, random_one_gate_pair
 from qverify.core import Circuit, UnitaryMatrix, circuit_unitary, gate
 from qverify.errors import DimensionMismatch, TargetMismatch
 from qverify.metrics import (
+    DistanceReport,
     avg_distance,
     detection_probabilities,
     flipped_diagonal_pair,
@@ -139,6 +142,19 @@ class TestTheorem1:
         assert lhs == pytest.approx(1.0, abs=1e-9)
         assert rhs == pytest.approx(2**2.5 * np.sqrt(4 / 16 - 4 / 256), abs=1e-9)
         assert holds
+
+    @pytest.mark.parametrize("n", [2047, 3000])
+    def test_no_overflow_at_large_n(self, n):
+        # 2.0 ** ((n + 1) / 2) raises OverflowError from n = 2047.
+        equal = DistanceReport(1.0 + 0j, 0.0, 0.0, 1.0, 0.0, 0.0)
+        assert theorem1(equal, n) == (0.0, 0.0, True)
+        different = DistanceReport(0.5 + 0j, 0.8, 1.0, 0.25, 0.32, 0.25)
+        assert theorem1(different, n) == (1.0, math.inf, True)
+
+    def test_values_below_overflow_unchanged(self):
+        report = DistanceReport(0.5 + 0j, 0.8, 1.0, 0.25, 0.32, 0.25)
+        for n in (1, 4, 2045, 2046):
+            assert theorem1(report, n)[1] == 2.0 ** ((n + 1) / 2.0) * 0.8
 
     def test_random_pairs_never_violate(self, rng):
         for _ in range(200):

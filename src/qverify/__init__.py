@@ -42,7 +42,6 @@ from .core import (
     UnitaryMatrix,
     circuit_unitary,
     custom_gate,
-    dagger,
     gate,
     window,
 )

@@ -13,6 +13,7 @@ Exit codes: 0 = verdict equal (or bound holds), 1 = verdict different
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,11 +43,6 @@ from .protocols import (
 )
 from .seeding import rng_from_seed
 
-# Circuits whose average distance falls below this are reported equal.
-# D now comes from the phase-aligned residual (exactly 0 on equal
-# pairs); the margin is kept until it is derived from that residual.
-EQUALITY_TOL = 1e-5
-
 
 def _base_report(args: argparse.Namespace) -> dict:
     return {
@@ -70,9 +66,10 @@ def _protocol_report(outcome) -> dict:
 
 def _cmd_distance(args: argparse.Namespace) -> tuple[int, dict]:
     u = load_circuit(args.u)
-    report = detection_probabilities(*window(u, load_circuit(args.ut), cap=args.cap), cap=args.cap)
+    report = detection_probabilities(*window(u, load_circuit(args.ut), cap=args.cap))
     lhs, rhs, holds = theorem1(report, u.n_qubits)
-    verdict = "equal" if report.avg_distance <= EQUALITY_TOL else "different"
+    # metrics snaps D below 1e-12 to exactly 0, and equal pairs land there.
+    verdict = "equal" if report.avg_distance == 0.0 else "different"
     out = _base_report(args)
     out.update(
         {
@@ -290,6 +287,7 @@ _OPEN_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _DISTANCE = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qverify", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -298,15 +296,12 @@ def _build_parser() -> argparse.ArgumentParser:
         if circuits:
             p.add_argument("--u", required=True, help="circuit file for U")
             p.add_argument("--ut", required=True, help="circuit file for Ut")
-        # argparse converts a string default, so a bad QVERIFY_SEED exits 2 too.
-        p.add_argument(
-            "--seed",
-            type=_NON_NEGATIVE,
-            default=os.environ.get("QVERIFY_SEED", "0"),
-            help="default: $QVERIFY_SEED, else 0",
-        )
+        p.add_argument("--seed", type=_NON_NEGATIVE, help="default: $QVERIFY_SEED, else 0")
         if dense:
-            p.add_argument("--cap", type=_COUNT, default=DEFAULT_QUBIT_CAP, help="max dense qubits")
+            p.add_argument(
+                "--cap", type=_COUNT, default=DEFAULT_QUBIT_CAP,
+                help="max qubits of a dense unitary: the window, or production-line's circuit",
+            )
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("distance", help="exact distances and detection probabilities")
@@ -353,11 +348,16 @@ def _text_summary(report: dict) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    if args.seed is None:  # read on every call: the parser outlives the environment
+        try:
+            args.seed = _NON_NEGATIVE(os.environ.get("QVERIFY_SEED", "0"))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            print(f"error: argument --seed: {exc}", file=sys.stderr)
+            return 2
     try:
         code, report = _COMMANDS[args.command](args)
     except QverifyError as exc:

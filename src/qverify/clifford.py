@@ -15,7 +15,8 @@ A Clifford tableau stores the conjugated images U X_j U^dag and
 U Z_j U^dag for j = 0..n-1 as signed Pauli strings.  Construction
 walks the circuit gate by gate on a column-major bit representation
 (a gate touches only its target columns), then transposes into
-bit-packed rows, which are what conjugation consumes.
+bit-packed rows, which are what conjugation consumes.  The inverse
+circuit's tableau walks the gates backwards, each inverted.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circuit, Gate, GateKind, dagger as circuit_dagger
+from .core import Circuit, Gate, GateKind
 from .errors import DimensionMismatch, NonCliffordGate
 
 _LETTERS = ("I", "X", "Z", "Y")  # indexed by x + 2*z
@@ -154,17 +155,18 @@ class _ColumnTableau:
         self.colz = [1 << (n + q) for q in range(n)]
         self.signs = 0
 
-    def apply(self, g: Gate) -> None:
-        kind = g.kind
+    def apply(self, kind: GateKind, targets: tuple[int, ...]) -> None:
+        if kind not in CLIFFORD_GATE_KINDS:
+            raise NonCliffordGate(f"{kind.value} is not a Clifford gate")
         if kind is GateKind.I:
             return
         if kind is GateKind.CNOT:
-            c, t = g.targets
+            c, t = targets
             self.signs ^= self.colx[c] & self.colz[t] & ~(self.colx[t] ^ self.colz[c])
             self.colx[t] ^= self.colx[c]
             self.colz[c] ^= self.colz[t]
             return
-        (q,) = g.targets
+        (q,) = targets
         if kind is GateKind.H:
             self.signs ^= self.colx[q] & self.colz[q]
             self.colx[q], self.colz[q] = self.colz[q], self.colx[q]
@@ -178,10 +180,8 @@ class _ColumnTableau:
             self.signs ^= self.colz[q]
         elif kind is GateKind.Z:
             self.signs ^= self.colx[q]
-        elif kind is GateKind.Y:
+        else:  # Y
             self.signs ^= self.colx[q] ^ self.colz[q]
-        else:
-            raise NonCliffordGate(f"{kind.value} is not a Clifford tableau gate")
 
     def to_tableau(self) -> CliffordTableau:
         n = self.n
@@ -214,15 +214,23 @@ def tableau_from_circuit(c: Circuit) -> CliffordTableau:
     """
     cols = _ColumnTableau(c.n_qubits)
     for g in c.gates:
-        if g.kind not in CLIFFORD_GATE_KINDS:
-            raise NonCliffordGate(f"{g.kind.value} is not a Clifford gate")
-        cols.apply(g)
+        cols.apply(g.kind, g.targets)
     return cols.to_tableau()
 
 
+# S and SDG invert each other; every other tableau gate is self-inverse.
+_INVERSE_KIND = {GateKind.S: GateKind.SDG, GateKind.SDG: GateKind.S}
+
+
 def tableau_dagger(c: Circuit) -> CliffordTableau:
-    """Tableau of the inverse circuit (gates reversed and inverted)."""
-    return tableau_from_circuit(circuit_dagger(c))
+    """Tableau of the inverse circuit: the gates walked backwards, each inverted.
+
+    Raises NonCliffordGate on T or CUSTOM gates.
+    """
+    cols = _ColumnTableau(c.n_qubits)
+    for g in reversed(c.gates):
+        cols.apply(_INVERSE_KIND.get(g.kind, g.kind), g.targets)
+    return cols.to_tableau()
 
 
 def conjugate_pauli(t: CliffordTableau, p: PauliString) -> PauliString:
@@ -251,25 +259,32 @@ def _image_vector(img: PauliString) -> int:
     return img.x | (img.z << img.n)
 
 
-def symplectic_rank_diff(a: CliffordTableau, b: CliffordTableau) -> int:
-    """GF(2) rank of M_a - M_b."""
+def _difference_kernel(a: CliffordTableau, b: CliffordTableau):
+    """Yield a basis of the kernel K of M_a - M_b over GF(2): the Paulis
+    both tableaux send to the same letters (bit g selects generator g).
+
+    One elimination of the rows M_a[g] + M_b[g] tracks which rows each
+    reduced row combines; a row reduced to zero yields its combination.
+    """
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} vs {b.n} qubits")
-    cols = [_image_vector(ia) ^ _image_vector(ib) for ia, ib in zip(a.images, b.images)]
-    return gf2_rank(cols)
-
-
-def gf2_rank(rows: list[int]) -> int:
-    """Rank over GF(2) of the binary matrix whose rows are the given bit vectors."""
-    basis: dict[int, int] = {}  # leading bit -> reduced row
-    for row in rows:
+    basis: dict[int, tuple[int, int]] = {}  # leading bit -> (reduced row, combination)
+    for g, (ia, ib) in enumerate(zip(a.images, b.images)):
+        row, combination = _image_vector(ia) ^ _image_vector(ib), 1 << g
         while row:
             lead = row.bit_length() - 1
             if lead not in basis:
-                basis[lead] = row
+                basis[lead] = (row, combination)
                 break
-            row ^= basis[lead]
-    return len(basis)
+            row ^= basis[lead][0]
+            combination ^= basis[lead][1]
+        else:
+            yield combination
+
+
+def symplectic_rank_diff(a: CliffordTableau, b: CliffordTableau) -> int:
+    """GF(2) rank of M_a - M_b."""
+    return 2 * a.n - sum(1 for _ in _difference_kernel(a, b))
 
 
 def differing_pauli_fraction(a: CliffordTableau, b: CliffordTableau) -> float:

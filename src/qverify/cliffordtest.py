@@ -25,6 +25,7 @@ import numpy as np
 from .clifford import (
     CliffordTableau,
     PauliString,
+    _difference_kernel,
     conjugate_pauli,
     random_pauli,
     tableau_dagger,
@@ -298,30 +299,24 @@ def find_error(
 # ---------------------------------------------------------------------------
 # Entanglement fidelity bound for Cliffords
 
-def entanglement_fidelity_clifford(
-    u: CliffordTableau, ut: CliffordTableau, max_qubits: int = 7
-) -> float:
-    """|Tr(U^dag Ut) / 2^n|^2 via Pauli counting, no dense matrices.
+def entanglement_fidelity_clifford(u: CliffordTableau, ut: CliffordTableau) -> float:
+    """|Tr(U^dag Ut) / 2^n|^2 by GF(2) algebra, at any n.
 
-    W = U^dag Ut fixes P (up to sign s_P) exactly when both tableaux
-    send P to the same letter string, and then s_P is the product of
-    the two image signs; the fidelity is sum(s_P over fixed P) / 4^n.
-    Distinct tableaux leave at most half the Paulis fixed, capping the
-    value at 1/2.
+    W = U^dag Ut fixes P up to a sign s_P (the product of the two image
+    signs) exactly when P lies in the kernel K of M_u - M_ut, and the
+    fidelity is sum(s_P over P in K) / 4^n.  s is a character on K, so
+    the sum is |K| when s = +1 on a basis of K and 0 otherwise (the
+    stabilizer-formalism trace; Dehaene and De Moor 2003).  Distinct
+    tableaux have dim K < 2n or a non-constant s, capping it at 1/2.
     """
-    if u.n != ut.n:
-        raise DimensionMismatch(f"{u.n} vs {ut.n} qubits")
     n = u.n
-    if n > max_qubits:
-        raise CapExceeded(f"Pauli enumeration capped at {max_qubits} qubits")
-    total = 0
-    for bits in range(4**n):
-        p = _pauli_from_index(n, bits)
-        a = conjugate_pauli(u, p)
-        b = conjugate_pauli(ut, p)
-        if a.x == b.x and a.z == b.z:
-            total += a.sign() * b.sign()
-    return total / 4**n
+    dim = 0
+    for v in _difference_kernel(u, ut):
+        p = PauliString.from_bits(n, v, v >> n)
+        if conjugate_pauli(u, p).sign() != conjugate_pauli(ut, p).sign():
+            return 0.0
+        dim += 1
+    return 2.0 ** (dim - 2 * n)
 
 
 @lru_cache(maxsize=1)

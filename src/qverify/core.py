@@ -22,9 +22,11 @@ Conventions used throughout the package:
   Tr(U^dag Ut) / 2^n = Tr(X^dag Y) / 2^m, the eigenphases and the
   distances all come from two 2^m x 2^m unitaries.
 
-Dense objects are capped at ``DEFAULT_QUBIT_CAP`` qubits (configurable
-per call) to bound memory.  Everything here is immutable after
-construction and safe to use from concurrent workers.
+A size limit sits only where a 2^n object is built: ``circuit_unitary``
+refuses more than ``cap`` qubits (default ``DEFAULT_QUBIT_CAP``), so
+``window`` bounds the width of the window, not of the circuits.
+Everything here is immutable after construction and safe to use from
+concurrent workers.
 """
 
 from __future__ import annotations
@@ -273,11 +275,9 @@ def window(
     order, and carry every quantity that depends only on U^dag Ut's
     spectrum: Tr(U^dag Ut) / 2^n = Tr(X^dag Y) / 2^m, the eigenphases,
     and the phase-aligned residual per dimension.  Equal lists give two
-    1-qubit identities.  `cap` bounds the width of the full circuits.
+    1-qubit identities.  `cap` bounds m, so the circuits may have any
+    width.
     """
-    for c in (a, b):
-        if c.n_qubits > cap:
-            raise CapExceeded(f"{c.n_qubits} qubits exceeds dense cap {cap}")
     if a.n_qubits != b.n_qubits:
         raise DimensionMismatch(f"dimensions differ: {2**a.n_qubits} vs {2**b.n_qubits}")
     ga, gb = a.gates, b.gates
@@ -298,26 +298,3 @@ def window(
         return circuit_unitary(Circuit(m, tuple(relabelled)), cap=cap)
 
     return unitary(middles[0]), unitary(middles[1])
-
-
-def dagger(c: Circuit) -> Circuit:
-    """The inverse circuit: gates reversed and individually inverted.
-
-    Self-inverse kinds pass through, S and SDG swap, T becomes a CUSTOM
-    gate holding its conjugate transpose (there is no named Tdg kind),
-    and CUSTOM matrices are conjugate-transposed.
-    """
-    inv = []
-    for g in reversed(c.gates):
-        if g.kind is GateKind.S:
-            inv.append(Gate(GateKind.SDG, g.targets))
-        elif g.kind is GateKind.SDG:
-            inv.append(Gate(GateKind.S, g.targets))
-        elif g.kind is GateKind.T:
-            inv.append(Gate(GateKind.CUSTOM, g.targets, g.unitary().conj().T))
-        elif g.kind is GateKind.CUSTOM:
-            inv.append(Gate(GateKind.CUSTOM, g.targets, g.matrix.conj().T))
-        else:
-            inv.append(g)
-    return Circuit(c.n_qubits, tuple(inv))
-

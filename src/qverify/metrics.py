@@ -20,7 +20,9 @@ its overlap per dimension, so it may be given the window unitaries X
 and Y of two circuits (`core.window`) in place of the full ones: W is
 A^dag (X^dag Y (x) I) A there, with the same eigenphases, the same
 Tr(W) / 2^n = Tr(X^dag Y) / 2^m and the same phase-aligned residual
-per dimension.  Only theorem 1's bound needs the full width n.
+per dimension.  Only theorem 1's bound needs the full width n.  The
+matrices arrive built under `circuit_unitary`'s width cap, so nothing
+here takes a cap of its own, bar the two example builders.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def avg_distance(u: UnitaryMatrix, ut: UnitaryMatrix) -> float:
     return math.sqrt(_avg_distance_sq(u, ut, trace_overlap(u, ut)))
 
 
-def worst_distance(u: UnitaryMatrix, ut: UnitaryMatrix, cap: int = DEFAULT_QUBIT_CAP) -> float:
+def worst_distance(u: UnitaryMatrix, ut: UnitaryMatrix) -> float:
     """The worst-case distance Dmax from the eigenphases of W = U^dag V.
 
     W is unitary, so its eigenvalues lie on the unit circle.  If the
@@ -87,8 +89,6 @@ def worst_distance(u: UnitaryMatrix, ut: UnitaryMatrix, cap: int = DEFAULT_QUBIT
     cos(arc/2) from the origin and Dmax = sin(arc/2); otherwise Dmax = 1.
     """
     _check_same_dim(u, ut)
-    if u.dim > 2**cap:
-        raise CapExceeded(f"dimension {u.dim} exceeds dense cap 2^{cap}")
     phases = np.sort(np.angle(np.linalg.eigvals(u.matrix.conj().T @ ut.matrix)))
     arc = 2 * math.pi - float(np.diff(phases, append=phases[0] + 2 * math.pi).max())
     return math.sin(min(max(arc, 0.0), math.pi) / 2)
@@ -111,16 +111,14 @@ class DistanceReport:
     p_conditional: float
 
 
-def detection_probabilities(
-    u: UnitaryMatrix, ut: UnitaryMatrix, cap: int = DEFAULT_QUBIT_CAP
-) -> DistanceReport:
+def detection_probabilities(u: UnitaryMatrix, ut: UnitaryMatrix) -> DistanceReport:
     """Populate a DistanceReport for the pair (u, ut)."""
     v = trace_overlap(u, ut)
     d2 = _avg_distance_sq(u, ut, v)
     return DistanceReport(
         trace_overlap=v,
         avg_distance=_clamp01(math.sqrt(d2)),
-        worst_distance=worst_distance(u, ut, cap=cap),
+        worst_distance=worst_distance(u, ut),
         ent_fidelity=_clamp01(abs(v) ** 2),
         p_swap=_clamp01(d2 / 2.0),
         p_conditional=_clamp01(0.5 - v.real / 2.0),
@@ -141,11 +139,9 @@ def theorem1(report: DistanceReport, n_qubits: int) -> tuple[float, float, bool]
     return report.worst_distance, rhs, report.worst_distance <= rhs + 1e-9
 
 
-def verify_theorem1(
-    u: UnitaryMatrix, ut: UnitaryMatrix, cap: int = DEFAULT_QUBIT_CAP
-) -> tuple[float, float, bool]:
+def verify_theorem1(u: UnitaryMatrix, ut: UnitaryMatrix) -> tuple[float, float, bool]:
     """Check Dmax <= 2^((n+1)/2) * D; returns (lhs, rhs, holds)."""
-    return theorem1(detection_probabilities(u, ut, cap=cap), u.n_qubits)
+    return theorem1(detection_probabilities(u, ut), u.n_qubits)
 
 
 def one_gate_pair(base: Circuit, position: int, replacement: Gate) -> tuple[Circuit, Circuit]:

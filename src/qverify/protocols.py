@@ -8,10 +8,11 @@ the two circuits differ (`core.window`: strip the shared gate prefix
 and suffix, keep the m qubits the middles X and Y touch).  The box's
 one reader, `_window`, returns those two 2^m x 2^m unitaries to a
 caller holding the capability a protocol needs, so the hidden circuits
-stay inside the box.  Protocols take circuits of up to `cap` qubits,
-like `distance`.  Shot outcomes are drawn from the analytic Bernoulli
-parameter, which has exactly the same distribution as simulating the
-full test circuit shot by shot but keeps 10^5-shot runs instant.
+stay inside the box.  `cap` bounds the window's m, as for `distance`,
+so the circuits may have any width.  Shot outcomes are drawn from the
+analytic Bernoulli parameter, which has exactly the same distribution
+as simulating the full test circuit shot by shot but keeps 10^5-shot
+runs instant.
 """
 
 from __future__ import annotations

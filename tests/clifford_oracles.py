@@ -1,9 +1,11 @@
-"""Tableau-only oracles for the Clifford test's acceptance probability.
+"""Tableau-only oracles for the Clifford path.
 
 `acceptance_probability` evaluates one round exactly, through the
 tableaux of both circuits, without any 2^n object: the oracle for the
 soundness and dense-agreement acceptance criteria.  It needs U^dag P U
 from the tableau of U, which takes a GF(2) solve.
+`entanglement_fidelity_enumerated` sums the fixed Paulis' signs over
+all 4^n Paulis, the oracle for the GF(2) kernel formula.
 """
 
 from __future__ import annotations
@@ -11,6 +13,19 @@ from __future__ import annotations
 from qverify.clifford import CliffordTableau, PauliString, conjugate_pauli
 from qverify.cliffordtest import EigenstatePrep, expectation_on_prep
 from qverify.errors import DimensionMismatch
+
+
+def gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of the binary matrix whose rows are the given bit vectors."""
+    basis: dict[int, int] = {}  # leading bit -> reduced row
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = row
+                break
+            row ^= basis[lead]
+    return len(basis)
 
 
 def gf2_solve(rows: list[int], rhs: list[int], n_cols: int) -> int | None:
@@ -93,3 +108,24 @@ def acceptance_probability(
         raise ValueError(f"prep was drawn for {prep.q}, not for {q}")
     q_tilde = conjugate_pauli_inverse(ut, conjugate_pauli(u, q))
     return (1.0 + prep.eigenvalue * expectation_on_prep(prep, q_tilde)) / 2.0
+
+
+def entanglement_fidelity_enumerated(u: CliffordTableau, ut: CliffordTableau) -> float:
+    """|Tr(U^dag Ut) / 2^n|^2 as a sum over all 4^n Paulis.
+
+    W = U^dag Ut fixes P (up to sign s_P) exactly when both tableaux
+    send P to the same letter string, and then s_P is the product of
+    the two image signs; the fidelity is sum(s_P over fixed P) / 4^n.
+    """
+    if u.n != ut.n:
+        raise DimensionMismatch(f"{u.n} vs {ut.n} qubits")
+    n = u.n
+    total = 0
+    for x in range(2**n):
+        for z in range(2**n):
+            p = PauliString.from_bits(n, x, z, 1)
+            a = conjugate_pauli(u, p)
+            b = conjugate_pauli(ut, p)
+            if a.x == b.x and a.z == b.z:
+                total += a.sign() * b.sign()
+    return total / 4**n

@@ -117,6 +117,46 @@ def circuits(draw, max_n: int = 5, min_n: int = 1) -> Circuit:
     return Circuit(n, tuple(draw(st.lists(gates_on(n), max_size=10))))
 
 
+def dagger(c: Circuit) -> Circuit:
+    """The inverse circuit: gates reversed and individually inverted.
+
+    Self-inverse kinds pass through, S and SDG swap, T becomes a CUSTOM
+    gate holding its conjugate transpose (there is no named Tdg kind),
+    and CUSTOM matrices are conjugate-transposed.
+    """
+    inv = []
+    for g in reversed(c.gates):
+        if g.kind is GateKind.S:
+            inv.append(Gate(GateKind.SDG, g.targets))
+        elif g.kind is GateKind.SDG:
+            inv.append(Gate(GateKind.S, g.targets))
+        elif g.kind is GateKind.T:
+            inv.append(Gate(GateKind.CUSTOM, g.targets, g.unitary().conj().T))
+        elif g.kind is GateKind.CUSTOM:
+            inv.append(Gate(GateKind.CUSTOM, g.targets, g.matrix.conj().T))
+        else:
+            inv.append(g)
+    return Circuit(c.n_qubits, tuple(inv))
+
+
+CLIFFORD_ONE_QUBIT_KINDS = [
+    GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.S, GateKind.SDG
+]
+
+
+@st.composite
+def clifford_gates_on(draw, n: int) -> Gate:
+    """A tableau gate: one of the named one-qubit Cliffords or a CNOT."""
+    kind = draw(st.sampled_from(CLIFFORD_ONE_QUBIT_KINDS + ([GateKind.CNOT] if n >= 2 else [])))
+    return Gate(kind, tuple(draw(st.permutations(range(n)))[: 2 if kind is GateKind.CNOT else 1]))
+
+
+@st.composite
+def clifford_circuits(draw, max_n: int = 4, min_n: int = 1) -> Circuit:
+    n = draw(st.integers(min_n, max_n))
+    return Circuit(n, tuple(draw(st.lists(clifford_gates_on(n), max_size=20))))
+
+
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)

@@ -3,13 +3,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import load_benchmark_workloads, random_general_circuit
 from qverify import cli, core, pipeline
 from qverify.circuit_format import load_circuit, save_circuit
 from qverify.cli import main
-from qverify.core import Circuit, Gate, GateKind, circuit_unitary, gate
+from qverify.core import Circuit, Gate, GateKind, circuit_unitary, custom_gate, gate
 from qverify.errors import DomainError, ParseError
 from qverify.metrics import one_gate_pair, worst_distance
 from qverify.pipeline import FactoryModel
@@ -76,6 +77,17 @@ class TestDistanceCommand:
             "theorem1",
         }
 
+    def test_tiny_rotation_is_different(self, tmp_path, capsys):
+        # D ~ 5e-8: below the old 1e-5 equality margin, far above the 1e-12 snap.
+        theta = 1e-7
+        rz = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+        u, ut = tmp_path / "u.qc", tmp_path / "ut.qc"
+        save_circuit(Circuit(2, (gate("H", 0), custom_gate(np.eye(2), 1))), u)
+        save_circuit(Circuit(2, (gate("H", 0), custom_gate(rz, 1))), ut)
+        code, report = run_json(capsys, "distance", "--u", str(u), "--ut", str(ut))
+        assert 0 < report["avg_distance"] < 1e-5
+        assert (code, report["verdict"]) == (1, "different")
+
     def test_equal_pair_satisfies_theorem1(self, files, capsys, tmp_path):
         padded = tmp_path / "padded.qc"
         save_circuit(Circuit(2, BELL.gates + (gate("H", 1), gate("H", 1))), padded)
@@ -83,6 +95,37 @@ class TestDistanceCommand:
         assert code == 0
         assert report["worst_distance"] <= 1e-12
         assert report["theorem1"]["holds"] is True
+
+
+class TestAnyWidth:
+    """--cap bounds the window, so a one-gate pair runs at any width."""
+
+    @pytest.mark.parametrize("command", DENSE_PAIR_COMMANDS)
+    @pytest.mark.parametrize("n", [50, 3000])
+    def test_one_gate_pair_gets_its_verdict(self, tmp_path, capsys, command, n):
+        base = Circuit(n, (gate("H", 0), gate("CNOT", 0, n - 1), gate("H", n // 2)))
+        u, ut = tmp_path / "u.qc", tmp_path / "ut.qc"
+        save_circuit(base, u)
+        save_circuit(one_gate_pair(base, 2, gate("T", n // 2))[1], ut)
+        code, report = run_json(capsys, command, "--u", str(u), "--ut", str(ut), "--seed", "1")
+        assert code == 1
+        assert report["verdict"] == "different"
+        assert capsys.readouterr().err == ""
+
+    def test_equal_pair_at_n3000(self, tmp_path, capsys):
+        path = tmp_path / "u.qc"
+        save_circuit(Circuit(3000, (gate("H", 2999), gate("CNOT", 0, 2999))), path)
+        code, report = run_json(capsys, "distance", "--u", str(path), "--ut", str(path))
+        assert code == 0
+        assert report["theorem1"] == {"lhs": 0.0, "rhs": 0.0, "holds": True}
+        assert report["verdict"] == "equal"
+
+    def test_equal_pair_above_default_cap_runs(self, tmp_path, capsys):
+        path = tmp_path / "u.qc"
+        save_circuit(Circuit(core.DEFAULT_QUBIT_CAP + 1, (gate("H", 0),)), path)
+        for command in DENSE_PAIR_COMMANDS:
+            code, report = run_json(capsys, command, "--u", str(path), "--ut", str(path))
+            assert (code, report["verdict"]) == (0, "equal")
 
 
 class TestProtocolCommands:
@@ -108,6 +151,13 @@ class TestProtocolCommands:
         _, first = run_cli(capsys, *args, "--json")
         _, second = run_cli(capsys, *args, "--json")
         assert first == second
+
+    def test_env_seed_read_on_every_call(self, files, capsys, monkeypatch):
+        seeds = []
+        for value in ("5", "6"):
+            monkeypatch.setenv("QVERIFY_SEED", value)
+            seeds.append(run_json(capsys, "swap-test", "--u", files["u"], "--ut", files["u"])[1]["seed"])
+        assert seeds == [5, 6]
 
     def test_seed_recorded_and_env_default(self, files, capsys, monkeypatch):
         monkeypatch.setenv("QVERIFY_SEED", "777")
@@ -358,11 +408,13 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("command", DENSE_PAIR_COMMANDS)
     @pytest.mark.parametrize("cap", [2, core.DEFAULT_QUBIT_CAP])
-    def test_equal_pair_above_cap_exit_two_one_line(self, tmp_path, capsys, command, cap):
-        # An equal pair has an empty window, but --cap bounds the circuit width.
-        path = tmp_path / "wide.qc"
-        save_circuit(Circuit(cap + 1, (gate("H", cap),)), path)
-        assert main([command, "--u", str(path), "--ut", str(path), "--cap", str(cap)]) == 2
+    def test_window_above_cap_exit_two_one_line(self, tmp_path, capsys, command, cap):
+        # The circuits are wider still; only the window's width counts.
+        n = cap + 5
+        u, ut = tmp_path / "u.qc", tmp_path / "ut.qc"
+        save_circuit(Circuit(n, tuple(gate("H", q) for q in range(2, cap + 3))), u)
+        save_circuit(Circuit(n, ()), ut)
+        assert main([command, "--u", str(u), "--ut", str(ut), "--cap", str(cap)]) == 2
         assert capsys.readouterr().err == f"error: {cap + 1} qubits exceeds dense cap {cap}\n"
 
     def test_usage_error(self, capsys):

@@ -5,14 +5,16 @@ import time
 import numpy as np
 import pytest
 
-from clifford_oracles import _matrix_rows, conjugate_pauli_inverse, gf2_solve
-from conftest import pauli_kron
+from hypothesis import given
+from hypothesis import strategies as st
+
+from clifford_oracles import _matrix_rows, conjugate_pauli_inverse, gf2_rank, gf2_solve
+from conftest import clifford_circuits, dagger, pauli_kron
 from qverify.clifford import (
     CliffordTableau,
     PauliString,
     conjugate_pauli,
     differing_pauli_fraction,
-    gf2_rank,
     pauli_multiply,
     random_clifford_circuit,
     random_pauli,
@@ -170,6 +172,39 @@ class TestTableauFromCircuit:
     def test_rejects_non_clifford(self):
         with pytest.raises(NonCliffordGate):
             tableau_from_circuit(single("T"))
+        with pytest.raises(NonCliffordGate, match="^T is not a Clifford gate$"):
+            tableau_dagger(single("T"))
+
+
+def generator(n: int, g: int) -> np.ndarray:
+    """X_g for g < n, else Z_(g-n), as a dense matrix."""
+    letters = ["I"] * n
+    letters[g % n] = "X" if g < n else "Z"
+    return pauli_kron("".join(letters))
+
+
+class TestTableauOracle:
+    """Tableaux against dense conjugation by circuit_unitary, n <= 4."""
+
+    @given(clifford_circuits())
+    def test_tableaux_match_dense_conjugation(self, c):
+        n = c.n_qubits
+        u = circuit_unitary(c).matrix
+        forward, backward = tableau_from_circuit(c), tableau_dagger(c)
+        for g in range(2 * n):
+            gen = generator(n, g)
+            assert np.allclose(dense(forward.images[g]), u @ gen @ u.conj().T, atol=1e-9)
+            assert np.allclose(dense(backward.images[g]), u.conj().T @ gen @ u, atol=1e-9)
+
+    @given(clifford_circuits())
+    def test_dagger_walk_matches_dagger_circuit(self, c):
+        assert tableau_dagger(c) == tableau_from_circuit(dagger(c))
+
+    @given(clifford_circuits(), st.integers(0, 15), st.integers(0, 15), st.sampled_from([1, -1]))
+    def test_inverse_conjugation_undoes_conjugation(self, c, x, z, sign):
+        t = tableau_from_circuit(c)
+        p = PauliString.from_bits(c.n_qubits, x, z, sign)
+        assert conjugate_pauli_inverse(t, conjugate_pauli(t, p)) == p
 
 
 class TestConjugation:

@@ -4,9 +4,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clifford_oracles import acceptance_probability, conjugate_pauli_inverse
-from conftest import INV_SQRT2, ORACLE_STATES, pauli_kron, prep_statevector
+from clifford_oracles import (
+    acceptance_probability,
+    conjugate_pauli_inverse,
+    entanglement_fidelity_enumerated,
+)
+from conftest import (
+    INV_SQRT2,
+    ORACLE_STATES,
+    clifford_circuits,
+    clifford_gates_on,
+    pauli_kron,
+    prep_statevector,
+)
 from qverify.clifford import (
     PauliString,
     conjugate_pauli,
@@ -437,6 +450,27 @@ class TestFindError:
             find_error(u, CliffordBlackBox(u), depth=3, repetitions=5, seed=0)
 
 
+@st.composite
+def fidelity_pairs(draw) -> tuple[Circuit, Circuit]:
+    """An equal, Pauli-shifted, one-gate or random pair of Clifford circuits, n <= 5."""
+    u = draw(clifford_circuits(max_n=5))
+    n = u.n_qubits
+    kind = draw(st.sampled_from(["equal", "pauli-shifted", "one-gate", "random"]))
+    at = draw(st.integers(0, u.n_gates))
+    if kind == "equal":
+        q = draw(st.integers(0, n - 1))
+        cancelling = draw(st.sampled_from([("H", "H"), ("S", "SDG"), ("X", "X")]))
+        inserted = tuple(gate(k, q) for k in cancelling)
+    elif kind == "pauli-shifted":
+        inserted = (gate(draw(st.sampled_from("XYZ")), draw(st.integers(0, n - 1))),)
+    elif kind == "one-gate" and u.n_gates:
+        at = min(at, u.n_gates - 1)
+        return u, Circuit(n, u.gates[:at] + (draw(clifford_gates_on(n)),) + u.gates[at + 1 :])
+    else:
+        return u, draw(clifford_circuits(max_n=n, min_n=n))
+    return u, Circuit(n, u.gates[:at] + inserted + u.gates[at:])
+
+
 class TestEntanglementFidelity:
     def test_equal_tableaux(self, rng):
         t = tableau_from_circuit(random_clifford_circuit(3, 30, rng))
@@ -471,10 +505,28 @@ class TestEntanglementFidelity:
             dense = abs(trace_overlap(circuit_unitary(u), circuit_unitary(ut))) ** 2
             assert via_counting == pytest.approx(dense, abs=1e-9)
 
-    def test_cap(self, rng):
-        t = tableau_from_circuit(random_clifford_circuit(8, 5, rng))
-        with pytest.raises(CapExceeded):
-            entanglement_fidelity_clifford(t, t)
+    @settings(max_examples=300)
+    @given(fidelity_pairs())
+    def test_kernel_formula_equals_enumeration(self, pair):
+        u, ut = (tableau_from_circuit(c) for c in pair)
+        assert entanglement_fidelity_clifford(u, ut) == entanglement_fidelity_enumerated(u, ut)
+
+    @pytest.mark.parametrize("n", [8, 1000])
+    def test_any_width(self, rng, n):
+        c = random_clifford_circuit(n, 4 * n, rng)
+        t = tableau_from_circuit(c)
+        padded = Circuit(n, c.gates[:n] + (gate("H", 3), gate("H", 3)) + c.gates[n:])
+        assert entanglement_fidelity_clifford(t, tableau_from_circuit(padded)) == 1.0
+        shifted = Circuit(n, c.gates + (gate("Z", n // 2),))
+        assert entanglement_fidelity_clifford(t, tableau_from_circuit(shifted)) == 0.0
+        s, identity = Circuit(n, (gate("S", n - 1),)), Circuit(n, ())
+        assert entanglement_fidelity_clifford(*map(tableau_from_circuit, (s, identity))) == 0.5
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            entanglement_fidelity_clifford(
+                tableau_from_circuit(Circuit(2, ())), tableau_from_circuit(Circuit(3, ()))
+            )
 
 
 def test_one_qubit_clifford_group_structure():

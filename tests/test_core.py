@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import embed_oracle, haar_unitary, pauli_kron, random_general_circuit, random_state
+from conftest import (
+    dagger,
+    embed_oracle,
+    haar_unitary,
+    pauli_kron,
+    random_general_circuit,
+    random_state,
+)
 from literal_protocols import _apply, literal_swap_test_probability
 from qverify.core import (
     Circuit,
@@ -14,7 +21,6 @@ from qverify.core import (
     UnitaryMatrix,
     circuit_unitary,
     custom_gate,
-    dagger,
     gate,
 )
 from qverify.errors import (

@@ -6,10 +6,12 @@
   the origin to the eigenvalues' convex hull.
 * `window` (the 2^m window where two circuits differ) against the full
   2^n unitaries: overlap, D, Dmax and the three protocols' shot
-  probabilities.
+  probabilities; and, on one-gate pairs of up to 64 qubits, against
+  the transfer values of the two gate matrices.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 import qverify.core as core
 from conftest import (
+    ONE_QUBIT_KINDS,
     circuits,
     embed_oracle,
     gates_on,
@@ -28,7 +31,7 @@ from conftest import (
 from hull_oracle import hull_worst_distance
 from qverify.circuit_format import load_circuit
 from qverify.core import Circuit, Gate, GateKind, UnitaryMatrix, circuit_unitary, custom_gate, gate, window
-from qverify.metrics import detection_probabilities, worst_distance
+from qverify.metrics import detection_probabilities, one_gate_pair, worst_distance
 from qverify.protocols import (
     ALL_CAPABILITIES,
     BlackBoxUnitary,
@@ -248,3 +251,46 @@ class TestWindowOracle:
                 assert assert_window_matches_full(a, b) <= 2
                 pairs += 1
         assert pairs == 57
+
+
+@st.composite
+def wide_one_gate_pairs(draw, max_n: int = 64) -> tuple[Circuit, Circuit, Gate, Gate]:
+    """A pair differing in one gate, on up to `max_n` qubits, and its two gates."""
+    n = draw(st.integers(1, max_n))
+    shared = st.lists(gates_on(n), max_size=6)
+    prefix, suffix = tuple(draw(shared)), tuple(draw(shared))
+    original = draw(gates_on(n))
+    k = original.n_targets
+    if k == 1 and draw(st.booleans()):
+        replacement = Gate(draw(st.sampled_from(ONE_QUBIT_KINDS)), original.targets)
+    else:
+        seed = draw(st.integers(0, 2**32 - 1))
+        replacement = custom_gate(haar_unitary(2**k, np.random.default_rng(seed)), *original.targets)
+    u, ut = one_gate_pair(Circuit(n, prefix + (original,) + suffix), len(prefix), replacement)
+    return u, ut, original, replacement
+
+
+class TestOneGatePairsAtAnyWidth:
+    @given(wide_one_gate_pairs())
+    def test_match_gate_transfer_values(self, case):
+        u, ut, original, replacement = case
+        gates = detection_probabilities(UnitaryMatrix(original.unitary()), UnitaryMatrix(replacement.unitary()))
+        widths = []
+        real_build = core.circuit_unitary
+
+        def recording(c, cap=core.DEFAULT_QUBIT_CAP):
+            widths.append(c.n_qubits)
+            return real_build(c, cap)
+
+        boxes = BlackBoxUnitary(u, ALL_CAPABILITIES), BlackBoxUnitary(ut, ALL_CAPABILITIES)
+        with mock.patch.object(core, "circuit_unitary", recording):
+            report = detection_probabilities(*window(u, ut))
+            swap = run_swap_test(*boxes, 1, 0).analytic_p
+            conditional = run_conditional_test(*boxes, 1, 0).analytic_p
+            inverse = run_inverse_test(u, boxes[1], 1, 0).analytic_p
+        assert max(widths) <= original.n_targets
+        assert report.avg_distance == pytest.approx(gates.avg_distance, abs=1e-12)
+        assert report.worst_distance == pytest.approx(gates.worst_distance, abs=1e-9)
+        assert swap == pytest.approx(gates.p_swap, abs=1e-12)
+        assert conditional == pytest.approx(gates.p_conditional, abs=1e-12)
+        assert inverse == pytest.approx(1 - gates.ent_fidelity, abs=1e-12)

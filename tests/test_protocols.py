@@ -127,7 +127,7 @@ class TestInverseTest:
 
 
 class TestQubitCap:
-    """The protocols reach n = cap, like `distance`, and stop beyond it."""
+    """The protocols take a window of up to cap qubits, like `distance`, and stop beyond it."""
 
     def test_n7_matches_detection_probabilities(self, rng):
         tail = random_general_circuit(7, 30, rng, custom_prob=0.2)
@@ -143,13 +143,22 @@ class TestQubitCap:
 
     @pytest.mark.parametrize("n, cap", [(7, 6), (DEFAULT_QUBIT_CAP + 1, DEFAULT_QUBIT_CAP)])
     def test_cap_plus_one_raises(self, n, cap):
-        c = Circuit(n, (gate("H", 0),))
-        with pytest.raises(CapExceeded):
-            run_swap_test(box(c), box(c), 10, 1, cap=cap)
-        with pytest.raises(CapExceeded):
-            run_conditional_test(box(c), box(c), 10, 1, cap=cap)
-        with pytest.raises(CapExceeded):
-            run_inverse_test(c, box(c), 10, 1, cap=cap)
+        # An n-qubit window inside wider circuits: CapExceeded names the window.
+        c = Circuit(n + 2, tuple(gate("H", q) for q in range(1, n + 1)))
+        empty = Circuit(n + 2, ())
+        with pytest.raises(CapExceeded, match=f"^{n} qubits exceeds dense cap {cap}$"):
+            run_swap_test(box(c), box(empty), 10, 1, cap=cap)
+        with pytest.raises(CapExceeded, match=f"^{n} qubits exceeds dense cap {cap}$"):
+            run_conditional_test(box(c), box(empty), 10, 1, cap=cap)
+        with pytest.raises(CapExceeded, match=f"^{n} qubits exceeds dense cap {cap}$"):
+            run_inverse_test(c, box(empty), 10, 1, cap=cap)
+
+    def test_equal_pair_above_cap_runs(self):
+        # Its window is empty, so no unitary wider than one qubit is built.
+        c = Circuit(DEFAULT_QUBIT_CAP + 1, tuple(gate("H", q) for q in range(DEFAULT_QUBIT_CAP + 1)))
+        assert run_swap_test(box(c), box(c), 10, 1).verdict == "equal"
+        assert run_conditional_test(box(c), box(c), 10, 1).verdict == "equal"
+        assert run_inverse_test(c, box(c), 10, 1).verdict == "equal"
 
 
 class TestLiteralSimulations:

@@ -26,7 +26,7 @@ def referenced_names() -> set[str]:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-            elif isinstance(node, ast.alias):  # `from .core import dagger as circuit_dagger`
+            elif isinstance(node, ast.alias):  # the name in `from .m import name as alias`
                 names.add(node.name)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)

@@ -183,6 +183,10 @@ class _ColumnTableau:
         else:  # Y
             self.signs ^= self.colx[q] ^ self.colz[q]
 
+    def apply_inverse(self, kind: GateKind, targets: tuple[int, ...]) -> None:
+        """Apply the gate's inverse: S and SDG swap, the others are self-inverse."""
+        self.apply(_INVERSE_KIND.get(kind, kind), targets)
+
     def to_tableau(self) -> CliffordTableau:
         n = self.n
         nbytes = (2 * n + 7) // 8
@@ -229,7 +233,7 @@ def tableau_dagger(c: Circuit) -> CliffordTableau:
     """
     cols = _ColumnTableau(c.n_qubits)
     for g in reversed(c.gates):
-        cols.apply(_INVERSE_KIND.get(g.kind, g.kind), g.targets)
+        cols.apply_inverse(g.kind, g.targets)
     return cols.to_tableau()
 
 

@@ -17,14 +17,16 @@ qubits.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .clifford import (
     CliffordTableau,
     PauliString,
+    _ColumnTableau,
     _difference_kernel,
     conjugate_pauli,
     random_pauli,
@@ -140,15 +142,25 @@ class CliffordTestReport:
     seed: int
 
 
+def _round(
+    n: int,
+    pull_back: Callable[[PauliString], PauliString],
+    ut: CliffordBlackBox,
+    rng: np.random.Generator,
+) -> TestRun:
+    """One randomized round; pull_back(p) is C^dag p C for the known circuit C."""
+    p = random_pauli(n, rng)
+    q = pull_back(p)
+    prep = prepare_input(q, rng)
+    outcome = ut.run_and_measure(prep, p, rng)
+    return TestRun(pauli=p, conjugated=q, eigenvalue=prep.eigenvalue, outcome=outcome)
+
+
 def run_test_once(
     u_dagger_tableau: CliffordTableau, ut: CliffordBlackBox, rng: np.random.Generator
 ) -> TestRun:
     """One randomized round against the precomputed tableau of U^dag."""
-    p = random_pauli(u_dagger_tableau.n, rng)
-    q = conjugate_pauli(u_dagger_tableau, p)
-    prep = prepare_input(q, rng)
-    outcome = ut.run_and_measure(prep, p, rng)
-    return TestRun(pauli=p, conjugated=q, eigenvalue=prep.eigenvalue, outcome=outcome)
+    return _round(u_dagger_tableau.n, partial(conjugate_pauli, u_dagger_tableau), ut, rng)
 
 
 def equivalence_verdict(
@@ -215,6 +227,22 @@ def _pauli_from_index(n: int, bits: int) -> PauliString:
 
 # ---------------------------------------------------------------------------
 # Error finding
+#
+# A candidate C replaces gate g_i of U = S_i g_i P_i by a gate sequence A on
+# g_i's qubits T.  With f = S_i^dag p S_i,
+#
+#     C^dag p C = (P_i^dag D P_i) (U^dag p U),    D = (A^dag f A)(g_i^dag f g_i),
+#
+# and D is a Pauli on T that depends only on f's letters there: f's sign and
+# its letters off T cancel in the product.  So one tableau of U^dag serves
+# every candidate.  A round reads f's local letters as parities of the
+# suffix-inverse tableau's columns at T, looks D up, and lifts it through the
+# prefix-inverse rows P_i^dag X_t P_i, P_i^dag Z_t P_i at T (Pauli-frame
+# corrections, as in Gidney 2021, arXiv:2103.02202).  A second replacement at
+# j > i lifts its D_j through the rows of the prefix that already carries A.
+#
+# A Pauli is (x, z, t) for i^t X^x Z^z.  Lists of rows, and the letter bits
+# that index a D table, put X_k of T's k-th qubit at 2k and Z_k at 2k + 1.
 
 _ONE_QUBIT_ALPHABET = (
     GateKind.X,
@@ -226,41 +254,189 @@ _ONE_QUBIT_ALPHABET = (
     GateKind.I,
 )
 
+# A gate sequence on local qubits: (kind, local targets) per gate.
+_Steps = tuple[tuple[GateKind, tuple[int, ...]], ...]
+_Pauli = tuple[int, int, int]  # (x, z, t): i^t X^x Z^z
+
+
+@lru_cache(maxsize=None)
+def _local_alternatives(kind: GateKind) -> tuple[_Steps, ...]:
+    """Replacement sequences for a position holding `kind` (the original
+    excluded), on local qubits: 0 is the gate's first target, 1 its second.
+
+    One-qubit positions draw from {X, Y, Z, H, S, SDG, I}; a CNOT position
+    may flip orientation or become any ordered pair of one-qubit gates on
+    its two qubits (I, I = dropped gate).
+    """
+    if kind is GateKind.CNOT:
+        pairs = itertools.product(_ONE_QUBIT_ALPHABET, repeat=2)
+        return (((GateKind.CNOT, (1, 0)),),) + tuple(((k1, (0,)), (k2, (1,))) for k1, k2 in pairs)
+    return tuple(((k, (0,)),) for k in _ONE_QUBIT_ALPHABET if k is not kind)
+
 
 def _position_alternatives(g: Gate) -> list[tuple[Gate, ...]]:
-    """Replacement sequences for one position (the original excluded).
+    """The replacement sequences for g's position, as gates on g's qubits."""
+    return [
+        tuple(Gate(kind, tuple(g.targets[k] for k in local)) for kind, local in alt)
+        for alt in _local_alternatives(g.kind)
+    ]
 
-    Single-qubit positions draw from {X, Y, Z, H, S, SDG, I}; a CNOT
-    position may flip orientation or become any ordered pair of
-    single-qubit gates on its two qubits (I, I = dropped gate).
+
+def _original(kind: GateKind) -> _Steps:
+    """A `kind` gate as a local sequence."""
+    return ((kind, (0, 1) if kind is GateKind.CNOT else (0,)),)
+
+
+def _lift(pauli: _Pauli, rows) -> _Pauli:
+    """A Pauli on local qubits with X_k and Z_k replaced by rows[2k] and
+    rows[2k + 1]: its image under the map whose local rows these are."""
+    x, z, t = pauli
+    acc_x = acc_z = 0
+    for j, (rx, rz, rt) in enumerate(rows):
+        if ((z if j & 1 else x) >> (j >> 1)) & 1:
+            t += rt + 2 * (acc_z & rx).bit_count()
+            acc_x ^= rx
+            acc_z ^= rz
+    return acc_x, acc_z, t % 4
+
+
+@lru_cache(maxsize=None)
+def _local_images(steps: _Steps, m: int) -> tuple[_Pauli, ...]:
+    """Local rows of Q -> A^dag Q A on m qubits for the sequence A."""
+    cols = _ColumnTableau(m)
+    for kind, targets in reversed(steps):
+        cols.apply_inverse(kind, targets)
+    images = cols.to_tableau().images
+    return tuple(
+        (img.x, img.z, img.phase_t) for k in range(m) for img in (images[k], images[m + k])
+    )
+
+
+@lru_cache(maxsize=None)
+def _corrections(kind: GateKind) -> tuple[tuple[_Pauli | None, ...], ...]:
+    """Per alternative A of a `kind` position: D = (A^dag f A)(g^dag f g)
+    for every local f, indexed by f's letter bits (x_k at 2k, z_k at
+    2k + 1); None where D = +I.
+
+    f is built Hermitian: a bare X^x Z^z carries i^(#Y), whose square
+    would flip D's sign once per Y letter.
     """
-    if g.kind is GateKind.CNOT:
-        c, t = g.targets
-        alts: list[tuple[Gate, ...]] = [(Gate(GateKind.CNOT, (t, c)),)]
-        for k1, k2 in itertools.product(_ONE_QUBIT_ALPHABET, repeat=2):
-            alts.append((Gate(k1, (c,)), Gate(k2, (t,))))
-        return alts
-    (q,) = g.targets
-    return [(Gate(k, (q,)),) for k in _ONE_QUBIT_ALPHABET if k is not g.kind]
+    original = _original(kind)
+    m = len(original[0][1])
+    g_images = _local_images(original, m)
+    tables = []
+    for alt in _local_alternatives(kind):
+        a_images = _local_images(alt, m)
+        table = []
+        for bits in range(4**m):
+            f = _pauli_from_index(m, bits)
+            ax, az, at = _lift((f.x, f.z, f.phase_t), a_images)
+            gx, gz, gt = _lift((f.x, f.z, f.phase_t), g_images)
+            d = (ax ^ gx, az ^ gz, (at + gt + 2 * (az & gx).bit_count()) % 4)
+            table.append(None if d == (0, 0, 0) else d)
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
-def _candidates(u: Circuit, depth: int):
-    """Circuits within `depth` gate replacements of u, nearest first."""
-    yield u
+def _identity_rows(n: int) -> list[_Pauli]:
+    """Rows of the empty prefix: X_q at q, Z_q at n + q."""
+    return [(1 << q, 0, 0) for q in range(n)] + [(0, 1 << q, 0) for q in range(n)]
+
+
+def _local_rows(rows: list[_Pauli], targets: tuple[int, ...]) -> tuple[_Pauli, ...]:
+    n = len(rows) // 2
+    return tuple(rows[g] for t in targets for g in (t, n + t))
+
+
+def _advance(rows: list[_Pauli], targets: tuple[int, ...], steps: _Steps) -> None:
+    """Append the local sequence `steps` on `targets` to the prefix whose rows these are."""
+    n = len(rows) // 2
+    local = _local_rows(rows, targets)
+    images = [_lift(img, local) for img in _local_images(steps, len(targets))]
+    for k, t in enumerate(targets):
+        rows[t], rows[n + t] = images[2 * k], images[2 * k + 1]
+
+
+def _suffix_columns(u: Circuit) -> list[tuple[int, ...]]:
+    """Per position i, the columns colx, colz at g_i's targets of the
+    tableau of S_i^dag, where S_i is the suffix after g_i: bit j of f's
+    local letters is the parity of column j masked by p's bits."""
+    cols = _ColumnTableau(u.n_qubits)
+    columns = [()] * u.n_gates
+    for i in reversed(range(u.n_gates)):
+        g = u.gates[i]
+        columns[i] = tuple(c[t] for t in g.targets for c in (cols.colx, cols.colz))
+        cols.apply_inverse(g.kind, g.targets)
+    return columns
+
+
+# (suffix columns, D table, prefix rows) at one replaced position
+_Correction = tuple[tuple[int, ...], tuple[_Pauli | None, ...], tuple[_Pauli, ...]]
+
+
+def _pull_back(
+    td_u: CliffordTableau, corrections: tuple[_Correction, ...], p: PauliString
+) -> PauliString:
+    """C^dag p C for the candidate C: U^dag p U times each position's lifted
+    D, earliest position first, each multiplied on the left."""
+    q = conjugate_pauli(td_u, p)
+    pvec = p.x | (p.z << td_u.n)
+    x, z, t = q.x, q.z, q.phase_t
+    for columns, table, rows in corrections:
+        d = table[sum(((c & pvec).bit_count() & 1) << j for j, c in enumerate(columns))]
+        if d is not None:
+            dx, dz, dt = _lift(d, rows)
+            x, z, t = dx ^ x, dz ^ z, dt + t + 2 * (dz & x).bit_count()
+    return PauliString(td_u.n, x, z, t)
+
+
+def _replaced(u: Circuit, replacements: tuple[tuple[int, int], ...]) -> Circuit:
+    """u with each (position, alternative index) replacement made."""
+    gates = list(u.gates)
+    for i, a in reversed(replacements):
+        gates[i : i + 1] = _position_alternatives(u.gates[i])[a]
+    return Circuit(u.n_qubits, tuple(gates))
+
+
+def _search(u: Circuit, td_u: CliffordTableau, depth: int):
+    """(pull-back, builder) per candidate, nearest first: u, then one
+    replacement at each position, then (depth 2) two, for i < j, for each
+    alternative at i, for each at j."""
+    yield partial(_pull_back, td_u, ()), lambda: u
     gates = u.gates
-    positions = range(len(gates))
-    alternatives = [_position_alternatives(g) for g in gates]
-    for i in positions:
-        for alt in alternatives[i]:
-            yield Circuit(u.n_qubits, gates[:i] + alt + gates[i + 1 :])
-    if depth >= 2:
-        for i, j in itertools.combinations(positions, 2):
-            for alt_i in alternatives[i]:
-                for alt_j in alternatives[j]:
-                    yield Circuit(
-                        u.n_qubits,
-                        gates[:i] + alt_i + gates[i + 1 : j] + alt_j + gates[j + 1 :],
+    columns = _suffix_columns(u)
+    rows = _identity_rows(u.n_qubits)
+    for i, g in enumerate(gates):
+        here = _local_rows(rows, g.targets)
+        for a, table in enumerate(_corrections(g.kind)):
+            yield (
+                partial(_pull_back, td_u, ((columns[i], table, here),)),
+                partial(_replaced, u, ((i, a),)),
+            )
+        _advance(rows, g.targets, _original(g.kind))
+    if depth < 2:
+        return
+    rows = _identity_rows(u.n_qubits)
+    for i, g in enumerate(gates):
+        here = _local_rows(rows, g.targets)
+        firsts = [(columns[i], table, here) for table in _corrections(g.kind)]
+        branches = []  # rows of the prefix through position i with each alternative there
+        for alt in _local_alternatives(g.kind):
+            branches.append(list(rows))
+            _advance(branches[-1], g.targets, alt)
+        for j in range(i + 1, len(gates)):
+            h = gates[j]
+            tables = _corrections(h.kind)
+            for a, (first, branch) in enumerate(zip(firsts, branches)):
+                there = _local_rows(branch, h.targets)
+                for b, table in enumerate(tables):
+                    yield (
+                        partial(_pull_back, td_u, (first, (columns[j], table, there))),
+                        partial(_replaced, u, ((i, a), (j, b))),
                     )
+            for branch in branches:
+                _advance(branch, h.targets, _original(h.kind))
+        _advance(rows, g.targets, _original(g.kind))
 
 
 def find_error(
@@ -278,19 +454,19 @@ def find_error(
     the first candidate that survives all rounds - a circuit whose
     tableau matches the hidden one with overwhelming probability.
     Raises CandidateNotFound when the error lies outside the model.
+
+    The tableau of U^dag is built once; each candidate's rounds pull p
+    back through it and correct the result at the replaced positions.
     """
     if depth not in (1, 2):
         raise ValueError(f"depth must be 1 or 2, got {depth}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    for index, candidate in enumerate(_candidates(u, depth)):
-        td = tableau_dagger(candidate)
+    td_u = tableau_dagger(u)
+    for index, (pull_back, build) in enumerate(_search(u, td_u, depth)):
         rng = rng_from_seed(seed, index)
-        for _ in range(repetitions):
-            if run_test_once(td, ut, rng).rejected:
-                break
-        else:
-            return candidate
+        if not any(_round(u.n_qubits, pull_back, ut, rng).rejected for _ in range(repetitions)):
+            return build()
     raise CandidateNotFound(
         f"no circuit within {depth} replacement(s) of u matches the black box"
     )

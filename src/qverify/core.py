@@ -279,7 +279,7 @@ def window(
     width.
     """
     if a.n_qubits != b.n_qubits:
-        raise DimensionMismatch(f"dimensions differ: {2**a.n_qubits} vs {2**b.n_qubits}")
+        raise DimensionMismatch(f"widths differ: {a.n_qubits} vs {b.n_qubits} qubits")
     ga, gb = a.gates, b.gates
     shorter = min(len(ga), len(gb))
     start = 0

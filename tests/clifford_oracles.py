@@ -6,13 +6,25 @@ soundness and dense-agreement acceptance criteria.  It needs U^dag P U
 from the tableau of U, which takes a GF(2) solve.
 `entanglement_fidelity_enumerated` sums the fixed Paulis' signs over
 all 4^n Paulis, the oracle for the GF(2) kernel formula.
+`find_error_by_tableaux` searches `candidates` with one circuit and one
+inverse tableau per candidate, the oracle for the Pauli-frame search.
 """
 
 from __future__ import annotations
 
-from qverify.clifford import CliffordTableau, PauliString, conjugate_pauli
-from qverify.cliffordtest import EigenstatePrep, expectation_on_prep
-from qverify.errors import DimensionMismatch
+import itertools
+
+from qverify.clifford import CliffordTableau, PauliString, conjugate_pauli, tableau_dagger
+from qverify.cliffordtest import (
+    CliffordBlackBox,
+    EigenstatePrep,
+    _position_alternatives,
+    expectation_on_prep,
+    run_test_once,
+)
+from qverify.core import Circuit
+from qverify.errors import CandidateNotFound, DimensionMismatch
+from qverify.seeding import rng_from_seed
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -129,3 +141,39 @@ def entanglement_fidelity_enumerated(u: CliffordTableau, ut: CliffordTableau) ->
             if a.x == b.x and a.z == b.z:
                 total += a.sign() * b.sign()
     return total / 4**n
+
+
+def candidates(u: Circuit, depth: int):
+    """Circuits within `depth` gate replacements of u, in find_error's order."""
+    yield u
+    gates = u.gates
+    positions = range(len(gates))
+    alternatives = [_position_alternatives(g) for g in gates]
+    for i in positions:
+        for alt in alternatives[i]:
+            yield Circuit(u.n_qubits, gates[:i] + alt + gates[i + 1 :])
+    if depth >= 2:
+        for i, j in itertools.combinations(positions, 2):
+            for alt_i in alternatives[i]:
+                for alt_j in alternatives[j]:
+                    yield Circuit(
+                        u.n_qubits,
+                        gates[:i] + alt_i + gates[i + 1 : j] + alt_j + gates[j + 1 :],
+                    )
+
+
+def find_error_by_tableaux(
+    u: Circuit, ut: CliffordBlackBox, depth: int, repetitions: int, seed: int
+) -> Circuit:
+    """find_error with a circuit and a tableau of its inverse per candidate."""
+    for index, candidate in enumerate(candidates(u, depth)):
+        td = tableau_dagger(candidate)
+        rng = rng_from_seed(seed, index)
+        for _ in range(repetitions):
+            if run_test_once(td, ut, rng).rejected:
+                break
+        else:
+            return candidate
+    raise CandidateNotFound(
+        f"no circuit within {depth} replacement(s) of u matches the black box"
+    )

@@ -404,7 +404,17 @@ class TestErrorHandling:
         wide = tmp_path / "wide.qc"
         save_circuit(Circuit(3, BELL.gates), wide)
         assert main([command, "--u", files["u"], "--ut", str(wide)]) == 2
-        assert capsys.readouterr().err == "error: dimensions differ: 4 vs 8\n"
+        assert capsys.readouterr().err == "error: widths differ: 2 vs 3 qubits\n"
+
+    @pytest.mark.parametrize("command", DENSE_PAIR_COMMANDS)
+    def test_wide_width_mismatch_short_line(self, tmp_path, capsys, command):
+        # Worded in qubits, not as 2^n written out (a 1,800-character line here).
+        u, ut = tmp_path / "u.qc", tmp_path / "ut.qc"
+        save_circuit(Circuit(3000, (gate("H", 0),)), u)
+        save_circuit(Circuit(3001, (gate("H", 0),)), ut)
+        assert main([command, "--u", str(u), "--ut", str(ut)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: widths differ: 3000 vs 3001 qubits\n" and len(err) < 80
 
     @pytest.mark.parametrize("command", DENSE_PAIR_COMMANDS)
     @pytest.mark.parametrize("cap", [2, core.DEFAULT_QUBIT_CAP])

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from clifford_oracles import (
     acceptance_probability,
+    candidates,
     conjugate_pauli_inverse,
     entanglement_fidelity_enumerated,
+    find_error_by_tableaux,
 )
 from conftest import (
     INV_SQRT2,
@@ -32,7 +34,7 @@ from qverify.clifford import (
 from qverify.cliffordtest import (
     CliffordBlackBox,
     EigenstatePrep,
-    _candidates,
+    _search,
     detection_probability_exact,
     entanglement_fidelity_clifford,
     equivalence_verdict,
@@ -415,7 +417,7 @@ class TestFindError:
             position = int(rng.integers(0, 30))
             alternatives = [
                 alt
-                for alt in _candidates(u, 1)
+                for alt in candidates(u, 1)
                 if alt is not u and alt.n_gates >= 1
             ]
             planted = alternatives[int(rng.integers(0, len(alternatives)))]
@@ -433,7 +435,7 @@ class TestFindError:
         ut = Circuit(2, u.gates + (gate("H", 1),))
         truth = tableau_from_circuit(ut)
         assert not any(
-            tableau_equal(tableau_from_circuit(c), truth) for c in _candidates(u, 1)
+            tableau_equal(tableau_from_circuit(c), truth) for c in candidates(u, 1)
         )
         with pytest.raises(CandidateNotFound):
             find_error(u, CliffordBlackBox(ut), depth=1, repetitions=30, seed=1)
@@ -448,6 +450,115 @@ class TestFindError:
         u = random_clifford_circuit(2, 5, rng)
         with pytest.raises(ValueError):
             find_error(u, CliffordBlackBox(u), depth=3, repetitions=5, seed=0)
+
+    def test_same_answer_and_box_uses_as_per_candidate_tableaux(self, rng):
+        # Seeded pairs: a planted fault from the alphabet (one or two
+        # replacements), an unrelated circuit or u itself, repetitions 1-5.
+        for case in range(60):
+            depth = 1 + case % 2
+            n = int(rng.integers(1, 4))
+            u = random_clifford_circuit(n, int(rng.integers(0, 8 if depth == 1 else 5)), rng)
+            replacements = case // 2 % 4  # 3 stands for an unrelated circuit
+            if replacements == 0:
+                ut = u
+            elif replacements == 3:
+                ut = random_clifford_circuit(n, 6, rng)
+            else:
+                near = list(candidates(u, replacements))
+                ut = near[int(rng.integers(0, len(near)))]
+            results = []
+            for search in (find_error, find_error_by_tableaux):
+                box = CountingBox(ut)
+                try:
+                    found = search(u, box, depth, 1 + case % 5, seed=case)
+                except CandidateNotFound:
+                    found = None
+                results.append((found, box.uses))
+            assert results[0] == results[1], case
+
+    def test_one_inverse_tableau_per_search(self, rng, monkeypatch):
+        cases = []
+        for n, s, depth in ((3, 0, 1), (4, 12, 1), (8, 200, 1), (2, 6, 2)):
+            u = random_clifford_circuit(n, s, rng)
+            cases.append((u, CliffordBlackBox(u), depth))  # found at once
+            ut = random_clifford_circuit(n, s + 3, rng)
+            cases.append((u, CliffordBlackBox(ut), depth))  # most likely not found
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return tableau_dagger(c)
+
+        monkeypatch.setattr("qverify.cliffordtest.tableau_dagger", counted)
+        outcomes = []
+        for u, box, depth in cases:
+            calls.clear()
+            try:
+                find_error(u, box, depth=depth, repetitions=20, seed=0)
+                outcomes.append("found")
+            except CandidateNotFound:
+                outcomes.append("not found")
+            assert calls == [u]
+        assert "not found" in outcomes
+
+
+class CountingBox(CliffordBlackBox):
+    """A black box that counts its runs."""
+
+    def __init__(self, circuit: Circuit):
+        super().__init__(circuit)
+        self.uses = 0
+
+    def run_and_measure(self, prep, observable, rng):
+        self.uses += 1
+        return super().run_and_measure(prep, observable, rng)
+
+
+@st.composite
+def paulis_with_y(draw, n: int) -> list[PauliString]:
+    """All-Y, a Y wherever x is set, and one drawn Pauli, on n qubits."""
+    full = (1 << n) - 1
+    x, z = draw(st.integers(0, full)), draw(st.integers(0, full))
+    return [
+        PauliString.from_bits(n, full, full),
+        PauliString.from_bits(n, x, x),
+        PauliString.from_bits(n, x, z),
+    ]
+
+
+@st.composite
+def short_clifford_circuits(draw, min_gates: int, max_gates: int) -> Circuit:
+    """A Clifford circuit on 1-5 qubits with every tableau gate kind possible."""
+    n = draw(st.integers(1, 5))
+    gates = draw(st.lists(clifford_gates_on(n), min_size=min_gates, max_size=max_gates))
+    return Circuit(n, tuple(gates))
+
+
+class TestPauliFrame:
+    """find_error's per-candidate pull-back equals C^dag p C from C's own tableau."""
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_depth_one_candidates(self, data):
+        u = data.draw(short_clifford_circuits(1, 20))
+        ps = data.draw(paulis_with_y(u.n_qubits))
+        for pull_back, build in _search(u, tableau_dagger(u), depth=1):
+            td = tableau_dagger(build())
+            for p in ps:
+                assert pull_back(p) == conjugate_pauli(td, p)
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_sampled_depth_two_candidates(self, data):
+        u = data.draw(short_clifford_circuits(2, 5))
+        ps = data.draw(paulis_with_y(u.n_qubits))
+        stride = data.draw(st.sampled_from([17, 31, 61]))
+        start = data.draw(st.integers(0, stride - 1))
+        search = _search(u, tableau_dagger(u), depth=2)
+        for pull_back, build in itertools.islice(search, start, None, stride):
+            td = tableau_dagger(build())
+            for p in ps:
+                assert pull_back(p) == conjugate_pauli(td, p)
 
 
 @st.composite

@@ -360,11 +360,12 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         code, report = _COMMANDS[args.command](args)
-    except QverifyError as exc:
+    except (QverifyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""  # Python's own MemoryError has no message
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))

@@ -12,11 +12,15 @@ same parity.  Tracking t mod 4 (rather than just a sign) makes Pauli
 multiplication exact.
 
 A Clifford tableau stores the conjugated images U X_j U^dag and
-U Z_j U^dag for j = 0..n-1 as signed Pauli strings.  Construction
-walks the circuit gate by gate on a column-major bit representation
-(a gate touches only its target columns), then transposes into
-bit-packed rows, which are what conjugation consumes.  The inverse
-circuit's tableau walks the gates backwards, each inverted.
+U Z_j U^dag for j = 0..n-1 as rows (x, z, t) in generator order: X_j at
+row j, Z_j at row n + j, so row g is selected by bit g of x | z << n.
+Construction walks the circuit gate by gate on a column-major bit
+representation (a gate touches only its target columns), then
+transposes the whole column block into rows at once.  The inverse
+circuit's tableau walks the gates backwards, each inverted.  One
+product rule (`_product`) and one conjugation loop (`_conjugate`) serve
+the tableaux here and the error finder's Pauli frames; `PauliString`
+wraps a row only where a caller needs the object.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import numpy as np
 from .core import Circuit, Gate, GateKind
 from .errors import DimensionMismatch, NonCliffordGate
 
-_LETTERS = ("I", "X", "Z", "Y")  # indexed by x + 2*z
+# Hex digit j of x + 2z, when x and z are written in binary and read as hex.
+_LETTER_OF_DIGIT = str.maketrans("0123", "IXZY")
 
 CLIFFORD_GATE_KINDS = frozenset(
     {GateKind.I, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.S, GateKind.SDG, GateKind.CNOT}
@@ -81,11 +86,10 @@ class PauliString:
         y = (x & z).bit_count()
         return cls(len(s), x, z, (y + t_extra) % 4)
 
-    def letter(self, j: int) -> str:
-        return _LETTERS[((self.x >> j) & 1) + 2 * ((self.z >> j) & 1)]
-
     def letters(self) -> str:
-        return "".join(self.letter(j) for j in range(self.n))
+        guard = 1 << self.n  # keeps leading I letters as digits
+        digits = int(f"{self.x | guard:b}", 16) + 2 * int(f"{self.z | guard:b}", 16)
+        return f"{digits:x}"[:0:-1].translate(_LETTER_OF_DIGIT)
 
     @property
     def y_count(self) -> int:
@@ -111,12 +115,34 @@ class PauliString:
         return prefix + self.letters()
 
 
+_Pauli = tuple[int, int, int]  # (x, z, t): i^t X^x Z^z, a tableau row
+
+
+def _product(a: _Pauli, b: _Pauli) -> _Pauli:
+    """Exact product a b: bits XOR, phase picks up i^2 per Z-over-X swap."""
+    (ax, az, at), (bx, bz, bt) = a, b
+    return ax ^ bx, az ^ bz, (at + bt + 2 * (az & bx).bit_count()) % 4
+
+
+def _conjugate(rows, x: int, z: int, t: int) -> _Pauli:
+    """i^t X^x Z^z with each generator replaced by its row: row g for
+    bit g of x | z << m, on m = len(rows) // 2 qubits."""
+    vec = x | z << (len(rows) >> 1)
+    acc_x = acc_z = 0
+    while vec:
+        rx, rz, rt = rows[(vec & -vec).bit_length() - 1]
+        vec &= vec - 1
+        t += rt + 2 * (acc_z & rx).bit_count()
+        acc_x ^= rx
+        acc_z ^= rz
+    return acc_x, acc_z, t % 4
+
+
 def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Exact product: bits XOR, phase picks up i^2 per Z-over-X swap."""
+    """Exact product a b."""
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} vs {b.n} qubits")
-    t = (a.phase_t + b.phase_t + 2 * (a.z & b.x).bit_count()) % 4
-    return PauliString(a.n, a.x ^ b.x, a.z ^ b.z, t)
+    return PauliString(a.n, *_product((a.x, a.z, a.phase_t), (b.x, b.z, b.phase_t)))
 
 
 def random_pauli(n: int, rng: np.random.Generator) -> PauliString:
@@ -132,12 +158,12 @@ def random_pauli(n: int, rng: np.random.Generator) -> PauliString:
 class CliffordTableau:
     """Images of the 2n Pauli generators under conjugation.
 
-    images[j] = U X_j U^dag for j < n, images[n + j] = U Z_j U^dag.
-    All images are Hermitian signed Pauli strings.
+    rows[j] = U X_j U^dag for j < n, rows[n + j] = U Z_j U^dag, each a
+    Hermitian (x, z, t) triple.
     """
 
     n: int
-    images: tuple[PauliString, ...]
+    rows: tuple[_Pauli, ...]
 
 
 class _ColumnTableau:
@@ -188,27 +214,21 @@ class _ColumnTableau:
         self.apply(_INVERSE_KIND.get(kind, kind), targets)
 
     def to_tableau(self) -> CliffordTableau:
+        """Transpose the 2n columns (colx, then colz) into 2n rows x | z << n."""
         n = self.n
         nbytes = (2 * n + 7) // 8
-        xm = np.zeros((n, 2 * n), dtype=np.uint8)
-        zm = np.zeros((n, 2 * n), dtype=np.uint8)
-        for q in range(n):
-            xm[q] = np.unpackbits(
-                np.frombuffer(self.colx[q].to_bytes(nbytes, "little"), dtype=np.uint8),
-                bitorder="little",
-            )[: 2 * n]
-            zm[q] = np.unpackbits(
-                np.frombuffer(self.colz[q].to_bytes(nbytes, "little"), dtype=np.uint8),
-                bitorder="little",
-            )[: 2 * n]
-        xm, zm = xm.T, zm.T  # (generator, qubit)
-        images = []
+        block = b"".join(c.to_bytes(nbytes, "little") for c in self.colx + self.colz)
+        # Byte b of every column, then unpacked: bits[g] holds bit g of every column.
+        by_byte = np.frombuffer(block, dtype=np.uint8).reshape(2 * n, nbytes).T.copy()
+        bits = np.unpackbits(by_byte, axis=0, count=2 * n, bitorder="little")
+        packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
+        mask = (1 << n) - 1
+        rows = []
         for g in range(2 * n):
-            x = int.from_bytes(np.packbits(xm[g], bitorder="little").tobytes(), "little")
-            z = int.from_bytes(np.packbits(zm[g], bitorder="little").tobytes(), "little")
-            sign = -1 if (self.signs >> g) & 1 else 1
-            images.append(PauliString.from_bits(n, x, z, sign))
-        return CliffordTableau(n, tuple(images))
+            vec = int.from_bytes(packed[g * nbytes : (g + 1) * nbytes], "little")
+            x, z = vec & mask, vec >> n
+            rows.append((x, z, ((x & z).bit_count() + 2 * ((self.signs >> g) & 1)) % 4))
+        return CliffordTableau(n, tuple(rows))
 
 
 def tableau_from_circuit(c: Circuit) -> CliffordTableau:
@@ -241,26 +261,7 @@ def conjugate_pauli(t: CliffordTableau, p: PauliString) -> PauliString:
     """U p U^dag: expand p over generators and multiply their images."""
     if t.n != p.n:
         raise DimensionMismatch(f"tableau on {t.n} qubits, Pauli on {p.n}")
-    x_acc, z_acc, t_acc = 0, 0, p.phase_t
-    rem = p.x | p.z
-    while rem:
-        j = (rem & -rem).bit_length() - 1
-        rem &= rem - 1
-        if (p.x >> j) & 1:
-            img = t.images[j]
-            t_acc += img.phase_t + 2 * (z_acc & img.x).bit_count()
-            x_acc ^= img.x
-            z_acc ^= img.z
-        if (p.z >> j) & 1:
-            img = t.images[t.n + j]
-            t_acc += img.phase_t + 2 * (z_acc & img.x).bit_count()
-            x_acc ^= img.x
-            z_acc ^= img.z
-    return PauliString(t.n, x_acc, z_acc, t_acc % 4)
-
-
-def _image_vector(img: PauliString) -> int:
-    return img.x | (img.z << img.n)
+    return PauliString(t.n, *_conjugate(t.rows, p.x, p.z, p.phase_t))
 
 
 def _difference_kernel(a: CliffordTableau, b: CliffordTableau):
@@ -273,8 +274,8 @@ def _difference_kernel(a: CliffordTableau, b: CliffordTableau):
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} vs {b.n} qubits")
     basis: dict[int, tuple[int, int]] = {}  # leading bit -> (reduced row, combination)
-    for g, (ia, ib) in enumerate(zip(a.images, b.images)):
-        row, combination = _image_vector(ia) ^ _image_vector(ib), 1 << g
+    for g, ((ax, az, _), (bx, bz, _)) in enumerate(zip(a.rows, b.rows)):
+        row, combination = (ax ^ bx) | (az ^ bz) << a.n, 1 << g
         while row:
             lead = row.bit_length() - 1
             if lead not in basis:
@@ -298,7 +299,7 @@ def differing_pauli_fraction(a: CliffordTableau, b: CliffordTableau) -> float:
 
 def tableau_equal(a: CliffordTableau, b: CliffordTableau) -> bool:
     """True when all generator images agree, signs included."""
-    return a.n == b.n and a.images == b.images
+    return a.n == b.n and a.rows == b.rows
 
 
 def random_clifford_circuit(n: int, length: int, rng: np.random.Generator) -> Circuit:

@@ -27,7 +27,10 @@ from .clifford import (
     CliffordTableau,
     PauliString,
     _ColumnTableau,
+    _conjugate,
     _difference_kernel,
+    _Pauli,
+    _product,
     conjugate_pauli,
     random_pauli,
     tableau_dagger,
@@ -186,7 +189,11 @@ def equivalence_verdict(
     )
 
 
-def detection_probability_exact(u: Circuit, ut: Circuit, max_qubits: int = 7) -> float:
+# 4^n Paulis per call: 16,384 at the cap.
+_EXACT_QUBIT_CAP = 7
+
+
+def detection_probability_exact(u: Circuit, ut: Circuit) -> float:
     """Exact per-round rejection probability, averaged over all 4^n
     Paulis and all eigenstate sign draws.
 
@@ -197,15 +204,15 @@ def detection_probability_exact(u: Circuit, ut: Circuit, max_qubits: int = 7) ->
     stands for all of them.
     """
     n = u.n_qubits
-    if n > max_qubits:
-        raise CapExceeded(f"exact enumeration capped at {max_qubits} qubits")
+    if n > _EXACT_QUBIT_CAP:
+        raise CapExceeded(f"exact enumeration capped at {_EXACT_QUBIT_CAP} qubits")
     if ut.n_qubits != n:
         raise DimensionMismatch(f"{n} vs {ut.n_qubits} qubits")
     td_u = tableau_dagger(u)
     td_ut = tableau_dagger(ut)
     total = 0.0
     for bits in range(4**n):
-        p = _pauli_from_index(n, bits)
+        p = PauliString.from_bits(n, bits, bits >> n)
         q = conjugate_pauli(td_u, p)
         qt = conjugate_pauli(td_ut, p)
         agreement = 0.0
@@ -214,15 +221,6 @@ def detection_probability_exact(u: Circuit, ut: Circuit, max_qubits: int = 7) ->
             agreement = prep.eigenvalue * expectation_on_prep(prep, qt)
         total += (1.0 - agreement) / 2.0
     return total / 4**n
-
-
-def _pauli_from_index(n: int, bits: int) -> PauliString:
-    """Enumerate P^n: two bits per qubit, (x, z) interleaved."""
-    x = z = 0
-    for j in range(n):
-        x |= ((bits >> (2 * j)) & 1) << j
-        z |= ((bits >> (2 * j + 1)) & 1) << j
-    return PauliString.from_bits(n, x, z, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +239,9 @@ def _pauli_from_index(n: int, bits: int) -> PauliString:
 # corrections, as in Gidney 2021, arXiv:2103.02202).  A second replacement at
 # j > i lifts its D_j through the rows of the prefix that already carries A.
 #
-# A Pauli is (x, z, t) for i^t X^x Z^z.  Lists of rows, and the letter bits
-# that index a D table, put X_k of T's k-th qubit at 2k and Z_k at 2k + 1.
+# A Pauli is a tableau row (x, z, t) for i^t X^x Z^z.  Local rows, suffix
+# columns and D tables all use the tableau's order: on m local qubits, X_k at
+# k and Z_k at m + k, so a local Pauli's index is x | z << m.
 
 _ONE_QUBIT_ALPHABET = (
     GateKind.X,
@@ -256,7 +255,6 @@ _ONE_QUBIT_ALPHABET = (
 
 # A gate sequence on local qubits: (kind, local targets) per gate.
 _Steps = tuple[tuple[GateKind, tuple[int, ...]], ...]
-_Pauli = tuple[int, int, int]  # (x, z, t): i^t X^x Z^z
 
 
 @lru_cache(maxsize=None)
@@ -287,36 +285,20 @@ def _original(kind: GateKind) -> _Steps:
     return ((kind, (0, 1) if kind is GateKind.CNOT else (0,)),)
 
 
-def _lift(pauli: _Pauli, rows) -> _Pauli:
-    """A Pauli on local qubits with X_k and Z_k replaced by rows[2k] and
-    rows[2k + 1]: its image under the map whose local rows these are."""
-    x, z, t = pauli
-    acc_x = acc_z = 0
-    for j, (rx, rz, rt) in enumerate(rows):
-        if ((z if j & 1 else x) >> (j >> 1)) & 1:
-            t += rt + 2 * (acc_z & rx).bit_count()
-            acc_x ^= rx
-            acc_z ^= rz
-    return acc_x, acc_z, t % 4
-
-
 @lru_cache(maxsize=None)
 def _local_images(steps: _Steps, m: int) -> tuple[_Pauli, ...]:
     """Local rows of Q -> A^dag Q A on m qubits for the sequence A."""
     cols = _ColumnTableau(m)
     for kind, targets in reversed(steps):
         cols.apply_inverse(kind, targets)
-    images = cols.to_tableau().images
-    return tuple(
-        (img.x, img.z, img.phase_t) for k in range(m) for img in (images[k], images[m + k])
-    )
+    return cols.to_tableau().rows
 
 
 @lru_cache(maxsize=None)
 def _corrections(kind: GateKind) -> tuple[tuple[_Pauli | None, ...], ...]:
     """Per alternative A of a `kind` position: D = (A^dag f A)(g^dag f g)
-    for every local f, indexed by f's letter bits (x_k at 2k, z_k at
-    2k + 1); None where D = +I.
+    for every local f, indexed by f's letter bits x | z << m; None where
+    D = +I.
 
     f is built Hermitian: a bare X^x Z^z carries i^(#Y), whose square
     would flip D's sign once per Y letter.
@@ -329,10 +311,9 @@ def _corrections(kind: GateKind) -> tuple[tuple[_Pauli | None, ...], ...]:
         a_images = _local_images(alt, m)
         table = []
         for bits in range(4**m):
-            f = _pauli_from_index(m, bits)
-            ax, az, at = _lift((f.x, f.z, f.phase_t), a_images)
-            gx, gz, gt = _lift((f.x, f.z, f.phase_t), g_images)
-            d = (ax ^ gx, az ^ gz, (at + gt + 2 * (az & gx).bit_count()) % 4)
+            x, z = bits & ((1 << m) - 1), bits >> m
+            f = x, z, (x & z).bit_count()
+            d = _product(_conjugate(a_images, *f), _conjugate(g_images, *f))
             table.append(None if d == (0, 0, 0) else d)
         tables.append(tuple(table))
     return tuple(tables)
@@ -344,29 +325,30 @@ def _identity_rows(n: int) -> list[_Pauli]:
 
 
 def _local_rows(rows: list[_Pauli], targets: tuple[int, ...]) -> tuple[_Pauli, ...]:
+    """The rows of X_t, then of Z_t, for t in targets."""
     n = len(rows) // 2
-    return tuple(rows[g] for t in targets for g in (t, n + t))
+    return tuple(rows[t] for t in targets) + tuple(rows[n + t] for t in targets)
 
 
 def _advance(rows: list[_Pauli], targets: tuple[int, ...], steps: _Steps) -> None:
     """Append the local sequence `steps` on `targets` to the prefix whose rows these are."""
-    n = len(rows) // 2
+    n, m = len(rows) // 2, len(targets)
     local = _local_rows(rows, targets)
-    images = [_lift(img, local) for img in _local_images(steps, len(targets))]
+    images = [_conjugate(local, *img) for img in _local_images(steps, m)]
     for k, t in enumerate(targets):
-        rows[t], rows[n + t] = images[2 * k], images[2 * k + 1]
+        rows[t], rows[n + t] = images[k], images[m + k]
 
 
 def _suffix_columns(u: Circuit) -> list[tuple[int, ...]]:
-    """Per position i, the columns colx, colz at g_i's targets of the
+    """Per position i, the columns colx at g_i's targets, then colz, of the
     tableau of S_i^dag, where S_i is the suffix after g_i: bit j of f's
     local letters is the parity of column j masked by p's bits."""
     cols = _ColumnTableau(u.n_qubits)
     columns = [()] * u.n_gates
     for i in reversed(range(u.n_gates)):
-        g = u.gates[i]
-        columns[i] = tuple(c[t] for t in g.targets for c in (cols.colx, cols.colz))
-        cols.apply_inverse(g.kind, g.targets)
+        kind, targets = u.gates[i].kind, u.gates[i].targets
+        columns[i] = tuple(cols.colx[t] for t in targets) + tuple(cols.colz[t] for t in targets)
+        cols.apply_inverse(kind, targets)
     return columns
 
 
@@ -381,13 +363,12 @@ def _pull_back(
     D, earliest position first, each multiplied on the left."""
     q = conjugate_pauli(td_u, p)
     pvec = p.x | (p.z << td_u.n)
-    x, z, t = q.x, q.z, q.phase_t
+    acc = q.x, q.z, q.phase_t
     for columns, table, rows in corrections:
         d = table[sum(((c & pvec).bit_count() & 1) << j for j, c in enumerate(columns))]
         if d is not None:
-            dx, dz, dt = _lift(d, rows)
-            x, z, t = dx ^ x, dz ^ z, dt + t + 2 * (dz & x).bit_count()
-    return PauliString(td_u.n, x, z, t)
+            acc = _product(_conjugate(rows, *d), acc)
+    return PauliString(td_u.n, *acc)
 
 
 def _replaced(u: Circuit, replacements: tuple[tuple[int, int], ...]) -> Circuit:
@@ -506,7 +487,7 @@ def one_qubit_clifford_circuits() -> tuple[Circuit, ...]:
     queue = [Circuit(1, ())]
     while queue:
         c = queue.pop(0)
-        key = tableau_from_circuit(c).images
+        key = tableau_from_circuit(c).rows
         if key in seen:
             continue
         seen[key] = c

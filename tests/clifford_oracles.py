@@ -8,13 +8,21 @@ from the tableau of U, which takes a GF(2) solve.
 all 4^n Paulis, the oracle for the GF(2) kernel formula.
 `find_error_by_tableaux` searches `candidates` with one circuit and one
 inverse tableau per candidate, the oracle for the Pauli-frame search.
+`rows_by_bits` transposes a circuit walk's columns into tableau rows one
+bit at a time, the oracle for the vectorised transpose.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from qverify.clifford import CliffordTableau, PauliString, conjugate_pauli, tableau_dagger
+from qverify.clifford import (
+    CliffordTableau,
+    PauliString,
+    _ColumnTableau,
+    conjugate_pauli,
+    tableau_dagger,
+)
 from qverify.cliffordtest import (
     CliffordBlackBox,
     EigenstatePrep,
@@ -77,13 +85,29 @@ def _matrix_rows(t: CliffordTableau) -> list[int]:
     """
     n = t.n
     rows = [0] * (2 * n)
-    for g, img in enumerate(t.images):
-        col = img.x | (img.z << n)
+    for g, (x, z, _) in enumerate(t.rows):
+        col = x | (z << n)
         while col:
             r = (col & -col).bit_length() - 1
             rows[r] |= 1 << g
             col &= col - 1
     return rows
+
+
+def rows_by_bits(c: Circuit) -> tuple[tuple[int, int, int], ...]:
+    """The rows of tableau_from_circuit(c), read off the column walk bit by bit:
+    bit q of row g's x (z) is bit g of column colx[q] (colz[q])."""
+    n = c.n_qubits
+    cols = _ColumnTableau(n)
+    for g in c.gates:
+        cols.apply(g.kind, g.targets)
+    rows = []
+    for g in range(2 * n):
+        x = sum(((cols.colx[q] >> g) & 1) << q for q in range(n))
+        z = sum(((cols.colz[q] >> g) & 1) << q for q in range(n))
+        minus = (cols.signs >> g) & 1
+        rows.append((x, z, ((x & z).bit_count() + 2 * minus) % 4))
+    return tuple(rows)
 
 
 def conjugate_pauli_inverse(t: CliffordTableau, p: PauliString) -> PauliString:

@@ -54,8 +54,7 @@ ORACLE_STATES = {
 def prep_statevector(prep) -> np.ndarray:
     """Dense amplitudes of an EigenstatePrep, built from ORACLE_STATES."""
     amps = np.array([1.0], dtype=complex)
-    for j in range(prep.q.n):
-        letter = prep.q.letter(j)
+    for j, letter in enumerate(prep.q.letters()):
         if letter == "I":
             state = ORACLE_STATES[("T+", 1)]
         else:

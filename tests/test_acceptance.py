@@ -166,7 +166,7 @@ def test_criterion_07_pauli_difference_detected_half_the_time():
             from qverify.clifford import PauliString
 
             r = PauliString.from_bits(n, x, z, 1)
-            layer = tuple(gate(r.letter(j), j) for j in range(n) if r.letter(j) != "I")
+            layer = tuple(gate(a, j) for j, a in enumerate(r.letters()) if a != "I")
             ut = Circuit(n, u.gates + layer)
             assert detection_probability_exact(u, ut) == 0.5
     report(7, "Pauli shifts detected with probability exactly 1/2", True)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,11 @@ from qverify.core import Circuit, Gate, GateKind, circuit_unitary, custom_gate, 
 from qverify.errors import DomainError, ParseError
 from qverify.metrics import one_gate_pair, worst_distance
 from qverify.pipeline import FactoryModel
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 BELL = Circuit(2, (gate("H", 0), gate("CNOT", 0, 1)))
 BELL_SHIFTED = Circuit(2, (gate("H", 0), gate("CNOT", 0, 1), gate("X", 0)))
@@ -426,6 +435,31 @@ class TestErrorHandling:
         save_circuit(Circuit(n, ()), ut)
         assert main([command, "--u", str(u), "--ut", str(ut), "--cap", str(cap)]) == 2
         assert capsys.readouterr().err == f"error: {cap + 1} qubits exceeds dense cap {cap}\n"
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    @pytest.mark.parametrize("command", ["clifford-test", "find-error"])
+    def test_out_of_memory_exit_two_one_line(self, tmp_path, command):
+        # A 30,000-qubit tableau needs gigabytes; the child may map 512 MiB.
+        wide = tmp_path / "wide.qc"
+        wide.write_text("QUBITS 30000\nH 0\n")
+        limit = 512 * 2**20
+
+        def cap_child():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "qverify.cli", command, "--u", str(wide), "--ut", str(wide)],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=cap_child,
+            timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
+        assert done.stdout == ""
 
     def test_usage_error(self, capsys):
         assert main(["distance"]) == 2

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clifford_oracles import _matrix_rows, conjugate_pauli_inverse, gf2_rank, gf2_solve
+from clifford_oracles import (
+    _matrix_rows,
+    conjugate_pauli_inverse,
+    gf2_rank,
+    gf2_solve,
+    rows_by_bits,
+)
 from conftest import clifford_circuits, dagger, pauli_kron
 from qverify.clifford import (
     CliffordTableau,
@@ -42,7 +48,8 @@ def identity_tableau(n: int) -> CliffordTableau:
 
 def compose(a: CliffordTableau, b: CliffordTableau) -> CliffordTableau:
     """Tableau of the product A B (conjugation by A after B)."""
-    return CliffordTableau(a.n, tuple(conjugate_pauli(a, img) for img in b.images))
+    images = (conjugate_pauli(a, PauliString(b.n, *row)) for row in b.rows)
+    return CliffordTableau(a.n, tuple((img.x, img.z, img.phase_t) for img in images))
 
 
 class TestGF2:
@@ -92,7 +99,7 @@ class TestPauliString:
 
     def test_letter_encoding(self):
         p = PauliString.from_label("+XZYI")
-        assert (p.letter(0), p.letter(1), p.letter(2), p.letter(3)) == ("X", "Z", "Y", "I")
+        assert tuple(p.letters()[j] for j in range(4)) == ("X", "Z", "Y", "I")
         assert ((p.x >> 0) & 1, (p.z >> 0) & 1) == (1, 0)
         assert ((p.x >> 1) & 1, (p.z >> 1) & 1) == (0, 1)
         assert ((p.x >> 2) & 1, (p.z >> 2) & 1) == (1, 1)
@@ -144,20 +151,20 @@ def single(kind, n=1):
 class TestTableauFromCircuit:
     def test_hadamard_rules(self):
         t = tableau_from_circuit(single("H"))
-        assert str(t.images[0]) == "+Z"
-        assert str(t.images[1]) == "+X"
+        assert str(PauliString(1, *t.rows[0])) == "+Z"
+        assert str(PauliString(1, *t.rows[1])) == "+X"
         assert str(conjugate_pauli(t, PauliString.from_label("+Y"))) == "-Y"
 
     def test_phase_gate_rules(self):
         t = tableau_from_circuit(single("S"))
-        assert str(t.images[0]) == "+Y"
-        assert str(t.images[1]) == "+Z"
+        assert str(PauliString(1, *t.rows[0])) == "+Y"
+        assert str(PauliString(1, *t.rows[1])) == "+Z"
         assert str(conjugate_pauli(t, PauliString.from_label("+Y"))) == "-X"
 
     def test_pauli_x_rules(self):
         t = tableau_from_circuit(single("X"))
-        assert str(t.images[0]) == "+X"
-        assert str(t.images[1]) == "-Z"
+        assert str(PauliString(1, *t.rows[0])) == "+X"
+        assert str(PauliString(1, *t.rows[1])) == "-Z"
 
     def test_cnot_all_sixteen_paulis_match_dense(self):
         c = Circuit(2, (gate("CNOT", 0, 1),))
@@ -168,6 +175,13 @@ class TestTableauFromCircuit:
                 p = PauliString.from_bits(2, x, z, 1)
                 got = conjugate_pauli(t, p)
                 assert np.allclose(u @ dense(p) @ u.conj().T, dense(got), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 63, 64, 65, 127, 128, 129])
+    def test_transpose_across_byte_boundaries(self, rng, n):
+        # 2n bits per column: n = 4 fills one byte, n = 64 fills 16.
+        for _ in range(3):
+            c = random_clifford_circuit(n, 4 * n + 10, rng)
+            assert tableau_from_circuit(c).rows == rows_by_bits(c)
 
     def test_rejects_non_clifford(self):
         with pytest.raises(NonCliffordGate):
@@ -193,8 +207,9 @@ class TestTableauOracle:
         forward, backward = tableau_from_circuit(c), tableau_dagger(c)
         for g in range(2 * n):
             gen = generator(n, g)
-            assert np.allclose(dense(forward.images[g]), u @ gen @ u.conj().T, atol=1e-9)
-            assert np.allclose(dense(backward.images[g]), u.conj().T @ gen @ u, atol=1e-9)
+            image, image_dagger = (PauliString(n, *t.rows[g]) for t in (forward, backward))
+            assert np.allclose(dense(image), u @ gen @ u.conj().T, atol=1e-9)
+            assert np.allclose(dense(image_dagger), u.conj().T @ gen @ u, atol=1e-9)
 
     @given(clifford_circuits())
     def test_dagger_walk_matches_dagger_circuit(self, c):
@@ -240,7 +255,8 @@ class TestConjugation:
         for _ in range(5):
             n = int(rng.integers(2, 6))
             t = tableau_from_circuit(random_clifford_circuit(n, 60, rng))
-            xs, zs = t.images[:n], t.images[n:]
+            images = [PauliString(n, *row) for row in t.rows]
+            xs, zs = images[:n], images[n:]
             for j in range(n):
                 assert not commutes(xs[j], zs[j])
                 for l in range(n):
@@ -343,7 +359,7 @@ class TestRandomCliffordCircuit:
         seen = set()
         for _ in range(10**4):
             t = tableau_from_circuit(random_clifford_circuit(2, 50, rng))
-            seen.add(tuple((img.x, img.z) for img in t.images))
+            seen.add(tuple((x, z) for x, z, _ in t.rows))
         assert len(seen) >= 100
 
 

@@ -72,8 +72,8 @@ def mixed_prep(q: PauliString, rng: np.random.Generator) -> tuple[EigenstatePrep
     """
     prep = prepare_input(q, rng)
     fill_x = fill_z = fill_signs = 0
-    for j in range(q.n):
-        if q.letter(j) == "I":
+    for j, letter in enumerate(q.letters()):
+        if letter == "I":
             basis = "XYZ"[rng.integers(0, 3)]
             fill_x |= (basis in "XY") << j
             fill_z |= (basis in "YZ") << j
@@ -145,8 +145,8 @@ class TestPrepareInput:
         q = PauliString.from_label("-XI")
         for _ in range(10):
             prep = prepare_input(q, rng)
-            assert prep.q.letter(1) == "I" and not prep.signs >> 1  # T+
-            assert prep.q.letter(0) == "X"
+            assert prep.q.letters()[1] == "I" and not prep.signs >> 1  # T+
+            assert prep.q.letters()[0] == "X"
             assert prep.eigenvalue == -drawn_signs(prep)[0]
 
     def test_dense_eigenstate_property(self, rng):
@@ -273,7 +273,7 @@ class TestDetectionProbabilityExact:
                 x = sum(((bits >> (2 * j)) & 1) << j for j in range(n))
                 z = sum(((bits >> (2 * j + 1)) & 1) << j for j in range(n))
                 r = PauliString.from_bits(n, x, z, 1)
-                layer = tuple(gate(r.letter(j), j) for j in range(n) if r.letter(j) != "I")
+                layer = tuple(gate(a, j) for j, a in enumerate(r.letters()) if a != "I")
                 ut = Circuit(n, u.gates + layer)
                 assert detection_probability_exact(u, ut) == 0.5
 
@@ -642,5 +642,5 @@ class TestEntanglementFidelity:
 
 def test_one_qubit_clifford_group_structure():
     circuits = one_qubit_clifford_circuits()
-    keys = {tableau_from_circuit(c).images for c in circuits}
+    keys = {tableau_from_circuit(c).rows for c in circuits}
     assert len(keys) == 24

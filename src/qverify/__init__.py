@@ -14,7 +14,6 @@ from .clifford import (
     PauliString,
     conjugate_pauli,
     differing_pauli_fraction,
-    pauli_multiply,
     random_clifford_circuit,
     random_pauli,
     symplectic_rank_diff,

@@ -104,12 +104,6 @@ class PauliString:
             return -1
         raise ValueError(f"{self} is not Hermitian")
 
-    def __mul__(self, other: PauliString) -> PauliString:
-        return pauli_multiply(self, other)
-
-    def __neg__(self) -> PauliString:
-        return PauliString(self.n, self.x, self.z, (self.phase_t + 2) % 4)
-
     def __str__(self) -> str:
         prefix = {0: "+", 1: "+i", 2: "-", 3: "-i"}[(self.phase_t - self.y_count) % 4]
         return prefix + self.letters()
@@ -136,13 +130,6 @@ def _conjugate(rows, x: int, z: int, t: int) -> _Pauli:
         acc_x ^= rx
         acc_z ^= rz
     return acc_x, acc_z, t % 4
-
-
-def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Exact product a b."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} vs {b.n} qubits")
-    return PauliString(a.n, *_product((a.x, a.z, a.phase_t), (b.x, b.z, b.phase_t)))
 
 
 def random_pauli(n: int, rng: np.random.Generator) -> PauliString:

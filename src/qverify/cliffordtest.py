@@ -150,20 +150,21 @@ def _round(
     pull_back: Callable[[PauliString], PauliString],
     ut: CliffordBlackBox,
     rng: np.random.Generator,
-) -> TestRun:
-    """One randomized round; pull_back(p) is C^dag p C for the known circuit C."""
+) -> tuple[PauliString, EigenstatePrep, int]:
+    """One randomized round: (p, the eigenstate prep of C^dag p C, the box's
+    outcome), where pull_back(p) is C^dag p C for the known circuit C."""
     p = random_pauli(n, rng)
-    q = pull_back(p)
-    prep = prepare_input(q, rng)
-    outcome = ut.run_and_measure(prep, p, rng)
-    return TestRun(pauli=p, conjugated=q, eigenvalue=prep.eigenvalue, outcome=outcome)
+    prep = prepare_input(pull_back(p), rng)
+    return p, prep, ut.run_and_measure(prep, p, rng)
 
 
 def run_test_once(
     u_dagger_tableau: CliffordTableau, ut: CliffordBlackBox, rng: np.random.Generator
 ) -> TestRun:
     """One randomized round against the precomputed tableau of U^dag."""
-    return _round(u_dagger_tableau.n, partial(conjugate_pauli, u_dagger_tableau), ut, rng)
+    pull_back = partial(conjugate_pauli, u_dagger_tableau)
+    p, prep, outcome = _round(u_dagger_tableau.n, pull_back, ut, rng)
+    return TestRun(pauli=p, conjugated=prep.q, eigenvalue=prep.eigenvalue, outcome=outcome)
 
 
 def equivalence_verdict(
@@ -202,6 +203,11 @@ def detection_probability_exact(u: Circuit, ut: Circuit) -> float:
     expectation, so lambda * E averages to 0 (a fair coin).  Otherwise
     every drawn sign flips both and cancels, and the all-plus draw
     stands for all of them.
+
+    Each Pauli adds (1 - a)/2 with agreement a = lambda * E, which is 0
+    or +-2^(-k/2) for the k T+ qubits under the hidden pullback.  The
+    terms are counted per (sign, k) in integers and summed once, so the
+    result does not depend on the enumeration order.
     """
     n = u.n_qubits
     if n > _EXACT_QUBIT_CAP:
@@ -210,17 +216,22 @@ def detection_probability_exact(u: Circuit, ut: Circuit) -> float:
         raise DimensionMismatch(f"{n} vs {ut.n_qubits} qubits")
     td_u = tableau_dagger(u)
     td_ut = tableau_dagger(ut)
-    total = 0.0
+    net = [0] * (n + 1)  # per k: terms with a = +2^(-k/2) minus those with -2^(-k/2)
     for bits in range(4**n):
         p = PauliString.from_bits(n, bits, bits >> n)
         q = conjugate_pauli(td_u, p)
         qt = conjugate_pauli(td_ut, p)
-        agreement = 0.0
-        if not (q.x | q.z) & ~(qt.x | qt.z):
-            prep = EigenstatePrep(q, 0)
-            agreement = prep.eigenvalue * expectation_on_prep(prep, qt)
-        total += (1.0 - agreement) / 2.0
-    return total / 4**n
+        support, hidden_support = q.x | q.z, qt.x | qt.z
+        if support & ~hidden_support:
+            continue
+        prep = EigenstatePrep(q, 0)
+        agreement = prep.eigenvalue * expectation_on_prep(prep, qt)
+        if agreement:
+            net[(hidden_support & ~support).bit_count()] += 1 if agreement > 0 else -1
+    # sum of a = (even + odd / sqrt(2)) / 2^n, both integers
+    even = sum(c << (n - k // 2) for k, c in enumerate(net) if k % 2 == 0)
+    odd = sum(c << (n - k // 2) for k, c in enumerate(net) if k % 2)
+    return (float((4**n << n) - even) - odd * 2**-0.5) / (4**n << (n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +249,15 @@ def detection_probability_exact(u: Circuit, ut: Circuit) -> float:
 # prefix-inverse rows P_i^dag X_t P_i, P_i^dag Z_t P_i at T (Pauli-frame
 # corrections, as in Gidney 2021, arXiv:2103.02202).  A second replacement at
 # j > i lifts its D_j through the rows of the prefix that already carries A.
+#
+# The black box runs u's rounds once, and they form a record that all other
+# candidates share.  On a recorded round with prep of q = U^dag p U, eigenvalue
+# lambda and lifted correction L, C's expectation is <prep| L q |prep> =
+# lambda <prep| L |prep>.  That is +-1 only when L's letters are q's on L's
+# support, so two mask tests and a parity decide whether the recorded outcome
+# had probability 0 for C.  Such a C is dropped without a run.  A circuit
+# equal to the box gives every outcome it produced a positive probability, so
+# it is never dropped.  The survivors are re-tested on rounds of their own.
 #
 # A Pauli is a tableau row (x, z, t) for i^t X^x Z^z.  Local rows, suffix
 # columns and D tables all use the tableau's order: on m local qubits, X_k at
@@ -355,6 +375,21 @@ def _suffix_columns(u: Circuit) -> list[tuple[int, ...]]:
 # (suffix columns, D table, prefix rows) at one replaced position
 _Correction = tuple[tuple[int, ...], tuple[_Pauli | None, ...], tuple[_Pauli, ...]]
 
+# A recorded round as bits: (p's x | z << n, q's x, q's z, drawn signs, u rejected)
+_Recorded = tuple[int, int, int, int, bool]
+
+
+def _local_index(columns: tuple[int, ...], pvec: int) -> int:
+    """f's local letter bits x | z << m: bit j is the parity of suffix
+    column j masked by p's bits pvec."""
+    return sum(((c & pvec).bit_count() & 1) << j for j, c in enumerate(columns))
+
+
+def _lift(rows: tuple[_Pauli, ...], d: _Pauli | None) -> _Pauli:
+    """The local correction d lifted through the prefix rows; +I for None.
+    A local +-I has no letters, so it passes through untouched."""
+    return (0, 0, 0) if d is None else _conjugate(rows, *d)
+
 
 def _pull_back(
     td_u: CliffordTableau, corrections: tuple[_Correction, ...], p: PauliString
@@ -365,10 +400,37 @@ def _pull_back(
     pvec = p.x | (p.z << td_u.n)
     acc = q.x, q.z, q.phase_t
     for columns, table, rows in corrections:
-        d = table[sum(((c & pvec).bit_count() & 1) << j for j, c in enumerate(columns))]
-        if d is not None:
-            acc = _product(_conjugate(rows, *d), acc)
+        acc = _product(_lift(rows, table[_local_index(columns, pvec)]), acc)
     return PauliString(td_u.n, *acc)
+
+
+def _rules_out(lift: _Pauli, rnd: _Recorded) -> bool:
+    """True when the recorded outcome had probability 0 for the candidate
+    whose pull-back is lift * q.
+
+    <prep| L q |prep> = lambda <prep| L |prep>, and <prep| L |prep> is +-1
+    exactly when L's letters are q's on L's support: sign(L), flipped by
+    each drawn -1 there.  Otherwise it is 0 or +-2^(-k/2).  The outcome is
+    impossible when that +-1 is -1 on a round u passed, +1 on one it failed.
+    """
+    x, z, t = lift
+    _, q_x, q_z, signs, rejected = rnd
+    support = x | z
+    if ((x ^ q_x) | (z ^ q_z)) & support:
+        return False
+    minus = ((t - (x & z).bit_count()) >> 1) + (signs & support).bit_count()
+    return (minus & 1) != rejected
+
+
+def _screen(keys, lift: Callable[[object, int], _Pauli], rounds: list[_Recorded]):
+    """The keys no recorded round rules out, in order; lift(key, r) is that
+    candidate's lifted correction on round r.  Rounds run outermost, so a
+    round is read only while some candidate is left."""
+    for r, rnd in enumerate(rounds):
+        if not keys:
+            break
+        keys = [key for key in keys if not _rules_out(lift(key, r), rnd)]
+    return keys
 
 
 def _replaced(u: Circuit, replacements: tuple[tuple[int, int], ...]) -> Circuit:
@@ -379,28 +441,47 @@ def _replaced(u: Circuit, replacements: tuple[tuple[int, int], ...]) -> Circuit:
     return Circuit(u.n_qubits, tuple(gates))
 
 
-def _search(u: Circuit, td_u: CliffordTableau, depth: int):
-    """(pull-back, builder) per candidate, nearest first: u, then one
-    replacement at each position, then (depth 2) two, for i < j, for each
-    alternative at i, for each at j."""
-    yield partial(_pull_back, td_u, ()), lambda: u
-    gates = u.gates
+def _search(u: Circuit, td_u: CliffordTableau, depth: int, record):
+    """(index, pull-back, builder) per candidate that no round of `record`
+    rules out, nearest first: one replacement at each position, then
+    (depth 2) two, for i < j, for each alternative at i, for each at j.
+    u is candidate 0 and is not yielded; `record` holds _round's
+    (p, prep, outcome) triples for u."""
+    n, gates = u.n_qubits, u.gates
+    rounds = [
+        (p.x | p.z << n, prep.q.x, prep.q.z, prep.signs, outcome != prep.eigenvalue)
+        for p, prep, outcome in record
+    ]
     columns = _suffix_columns(u)
-    rows = _identity_rows(u.n_qubits)
+    known = [[] for _ in gates]  # per position: f's local index on the rounds read so far
+
+    def f(i: int, r: int) -> int:
+        seen = known[i]
+        while len(seen) <= r:
+            seen.append(_local_index(columns[i], rounds[len(seen)][0]))
+        return seen[r]
+
+    index = 1
+    rows = _identity_rows(n)
     for i, g in enumerate(gates):
         here = _local_rows(rows, g.targets)
-        for a, table in enumerate(_corrections(g.kind)):
+        tables = _corrections(g.kind)
+        lifted = lru_cache(maxsize=None)(partial(_lift, here))
+        for a in _screen(range(len(tables)), lambda a, r: lifted(tables[a][f(i, r)]), rounds):
             yield (
-                partial(_pull_back, td_u, ((columns[i], table, here),)),
+                index + a,
+                partial(_pull_back, td_u, ((columns[i], tables[a], here),)),
                 partial(_replaced, u, ((i, a),)),
             )
+        index += len(tables)
         _advance(rows, g.targets, _original(g.kind))
     if depth < 2:
         return
-    rows = _identity_rows(u.n_qubits)
+    rows = _identity_rows(n)
     for i, g in enumerate(gates):
         here = _local_rows(rows, g.targets)
-        firsts = [(columns[i], table, here) for table in _corrections(g.kind)]
+        lifted = lru_cache(maxsize=None)(partial(_lift, here))
+        firsts = _corrections(g.kind)
         branches = []  # rows of the prefix through position i with each alternative there
         for alt in _local_alternatives(g.kind):
             branches.append(list(rows))
@@ -408,13 +489,24 @@ def _search(u: Circuit, td_u: CliffordTableau, depth: int):
         for j in range(i + 1, len(gates)):
             h = gates[j]
             tables = _corrections(h.kind)
-            for a, (first, branch) in enumerate(zip(firsts, branches)):
-                there = _local_rows(branch, h.targets)
-                for b, table in enumerate(tables):
-                    yield (
-                        partial(_pull_back, td_u, (first, (columns[j], table, there))),
-                        partial(_replaced, u, ((i, a), (j, b))),
-                    )
+            theres = [_local_rows(branch, h.targets) for branch in branches]
+
+            def lift(key: tuple[int, int], r: int) -> _Pauli:
+                a, b = key
+                return _product(_lift(theres[a], tables[b][f(j, r)]), lifted(firsts[a][f(i, r)]))
+
+            pairs = itertools.product(range(len(firsts)), range(len(tables)))
+            for a, b in _screen(list(pairs), lift, rounds):
+                yield (
+                    index + a * len(tables) + b,
+                    partial(
+                        _pull_back,
+                        td_u,
+                        ((columns[i], firsts[a], here), (columns[j], tables[b], theres[a])),
+                    ),
+                    partial(_replaced, u, ((i, a), (j, b))),
+                )
+            index += len(firsts) * len(tables)
             for branch in branches:
                 _advance(branch, h.targets, _original(h.kind))
         _advance(rows, g.targets, _original(g.kind))
@@ -430,9 +522,13 @@ def find_error(
     """Search circuits near u for one that tests equal to the black box.
 
     Candidates differ from u in at most `depth` gate replacements drawn
-    from the documented alphabet; each is tested with up to
-    `repetitions` rounds (stopping at the first rejection).  Returns
-    the first candidate that survives all rounds - a circuit whose
+    from the documented alphabet.  u's `repetitions` rounds run in full
+    and form a record that every other candidate shares: a candidate is
+    dropped, at no cost in runs, when a recorded outcome had probability
+    0 for it, which never happens to a circuit equal to the box.  Each
+    survivor, in order, is re-tested with up to `repetitions` rounds of
+    its own (stopping at the first rejection).  Returns u when it passes
+    its rounds, else the first survivor that passes - a circuit whose
     tableau matches the hidden one with overwhelming probability.
     Raises CandidateNotFound when the error lies outside the model.
 
@@ -443,10 +539,16 @@ def find_error(
         raise ValueError(f"depth must be 1 or 2, got {depth}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    n = u.n_qubits
     td_u = tableau_dagger(u)
-    for index, (pull_back, build) in enumerate(_search(u, td_u, depth)):
+    rng = rng_from_seed(seed, 0)
+    record = [_round(n, partial(conjugate_pauli, td_u), ut, rng) for _ in range(repetitions)]
+    if all(outcome == prep.eigenvalue for _, prep, outcome in record):
+        return u
+    for index, pull_back, build in _search(u, td_u, depth, record):
         rng = rng_from_seed(seed, index)
-        if not any(_round(u.n_qubits, pull_back, ut, rng).rejected for _ in range(repetitions)):
+        rounds = (_round(n, pull_back, ut, rng) for _ in range(repetitions))
+        if all(outcome == prep.eigenvalue for _, prep, outcome in rounds):
             return build()
     raise CandidateNotFound(
         f"no circuit within {depth} replacement(s) of u matches the black box"

@@ -7,7 +7,9 @@ from the tableau of U, which takes a GF(2) solve.
 `entanglement_fidelity_enumerated` sums the fixed Paulis' signs over
 all 4^n Paulis, the oracle for the GF(2) kernel formula.
 `find_error_by_tableaux` searches `candidates` with one circuit and one
-inverse tableau per candidate, the oracle for the Pauli-frame search.
+inverse tableau per candidate, screening each on u's recorded rounds with
+`expectation_on_prep`: the oracle for the Pauli-frame search and its
+bit-level screen.
 `rows_by_bits` transposes a circuit walk's columns into tableau rows one
 bit at a time, the oracle for the vectorised transpose.
 """
@@ -16,11 +18,13 @@ from __future__ import annotations
 
 import itertools
 
+from conftest import negated
 from qverify.clifford import (
     CliffordTableau,
     PauliString,
     _ColumnTableau,
     conjugate_pauli,
+    random_pauli,
     tableau_dagger,
 )
 from qverify.cliffordtest import (
@@ -28,6 +32,7 @@ from qverify.cliffordtest import (
     EigenstatePrep,
     _position_alternatives,
     expectation_on_prep,
+    prepare_input,
     run_test_once,
 )
 from qverify.core import Circuit
@@ -125,7 +130,7 @@ def conjugate_pauli_inverse(t: CliffordTableau, p: PauliString) -> PauliString:
         raise ValueError("tableau matrix is singular; not a valid Clifford tableau")
     q = PauliString.from_bits(n, sol & ((1 << n) - 1), sol >> n, 1)
     if conjugate_pauli(t, q).sign() != p.sign():
-        q = -q
+        q = negated(q)
     return q
 
 
@@ -189,9 +194,31 @@ def candidates(u: Circuit, depth: int):
 def find_error_by_tableaux(
     u: Circuit, ut: CliffordBlackBox, depth: int, repetitions: int, seed: int
 ) -> Circuit:
-    """find_error with a circuit and a tableau of its inverse per candidate."""
+    """find_error with a circuit and a tableau of its inverse per candidate.
+
+    u's rounds are drawn in full and recorded as (p, prep, outcome); a
+    later candidate is dropped when some recorded outcome equals minus its
+    own expectation on that prep, else re-tested on rounds of its own.
+    """
+    n = u.n_qubits
+    td = tableau_dagger(u)
+    rng = rng_from_seed(seed, 0)
+    record = []
+    for _ in range(repetitions):
+        p = random_pauli(n, rng)
+        prep = prepare_input(conjugate_pauli(td, p), rng)
+        record.append((p, prep, ut.run_and_measure(prep, p, rng)))
+    if all(outcome == prep.eigenvalue for _, prep, outcome in record):
+        return u
     for index, candidate in enumerate(candidates(u, depth)):
+        if index == 0:
+            continue
         td = tableau_dagger(candidate)
+        if any(
+            expectation_on_prep(prep, conjugate_pauli(td, p)) == -outcome
+            for p, prep, outcome in record
+        ):
+            continue
         rng = rng_from_seed(seed, index)
         for _ in range(repetitions):
             if run_test_once(td, ut, rng).rejected:

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from qverify.clifford import PauliString, _product
 from qverify.core import Circuit, Gate, GateKind
+from qverify.errors import DimensionMismatch
 
 # Property tests draw the same examples on every run and write no
 # example database, so the suite stays deterministic.
@@ -33,6 +35,18 @@ def pauli_kron(letters: str, sign: int = 1) -> np.ndarray:
     for ch in letters:
         m = np.kron(m, PAULI_1Q[ch])
     return m
+
+
+def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
+    """Exact product a b, by the library's product rule."""
+    if a.n != b.n:
+        raise DimensionMismatch(f"{a.n} vs {b.n} qubits")
+    return PauliString(a.n, *_product((a.x, a.z, a.phase_t), (b.x, b.z, b.phase_t)))
+
+
+def negated(p: PauliString) -> PauliString:
+    """-p."""
+    return PauliString(p.n, p.x, p.z, p.phase_t + 2)
 
 
 INV_SQRT2 = 1 / np.sqrt(2)

@@ -1,6 +1,7 @@
 """Randomized Clifford equality test: exactness, oracles, error finding."""
 
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from conftest import (
     ORACLE_STATES,
     clifford_circuits,
     clifford_gates_on,
+    negated,
     pauli_kron,
+    pauli_multiply,
     prep_statevector,
 )
 from qverify.clifford import (
@@ -34,6 +37,8 @@ from qverify.clifford import (
 from qverify.cliffordtest import (
     CliffordBlackBox,
     EigenstatePrep,
+    _round,
+    _rules_out,
     _search,
     detection_probability_exact,
     entanglement_fidelity_clifford,
@@ -44,7 +49,7 @@ from qverify.cliffordtest import (
     prepare_input,
     run_test_once,
 )
-from qverify.core import Circuit, circuit_unitary, gate
+from qverify.core import Circuit, Gate, circuit_unitary, gate
 from qverify.errors import CandidateNotFound, CapExceeded, DimensionMismatch
 from qverify.metrics import trace_overlap
 
@@ -116,14 +121,14 @@ class TestSingleQubitExpectation:
         for _ in range(300):
             n = int(rng.integers(1, 5))
             q = random_pauli(n, rng)
-            q = -q if rng.random() < 0.5 else q
+            q = negated(q) if rng.random() < 0.5 else q
             prep = prepare_input(q, rng)
             p = random_pauli(n, rng)
             if rng.random() < 0.5:
                 keep = int(rng.integers(0, 2**n))
                 x = (q.x & keep) | (p.x & ~keep)
                 p = PauliString.from_bits(n, x, (q.z & keep) | (p.z & ~keep), 1)
-            p = -p if rng.random() < 0.5 else p
+            p = negated(p) if rng.random() < 0.5 else p
             psi = prep_statevector(prep)
             dense = np.vdot(psi, pauli_kron(p.letters(), p.sign()) @ psi).real
             value = expectation_on_prep(prep, p)
@@ -154,7 +159,7 @@ class TestPrepareInput:
         for _ in range(100):
             q = random_pauli(4, rng)
             if rng.random() < 0.5:
-                q = -q
+                q = negated(q)
             prep = prepare_input(q, rng)
             psi = prep_statevector(prep)
             qm = pauli_kron(q.letters(), q.sign())
@@ -213,7 +218,7 @@ class TestAcceptanceProbability:
         with pytest.raises(ValueError):
             acceptance_probability(t, t, q, prepare_input(PauliString.from_label("+IX"), rng))
         with pytest.raises(ValueError):
-            acceptance_probability(t, t, q, prepare_input(-q, rng))
+            acceptance_probability(t, t, q, prepare_input(negated(q), rng))
 
 
 def _match_signed_pauli(m: np.ndarray, n: int):
@@ -276,6 +281,23 @@ class TestDetectionProbabilityExact:
                 layer = tuple(gate(a, j) for j, a in enumerate(r.letters()) if a != "I")
                 ut = Circuit(n, u.gates + layer)
                 assert detection_probability_exact(u, ut) == 0.5
+
+    def test_independent_of_qubit_order(self, rng):
+        # Relabelling the qubits permutes the 4^n terms without changing them.
+        # The hidden circuit runs a few gates before u, so many terms carry
+        # T+ qubits and irrational agreements.
+        for _ in range(60):
+            n = int(rng.integers(2, 6))
+            u = random_clifford_circuit(n, 20, rng)
+            ut = Circuit(n, random_clifford_circuit(n, 3, rng).gates + u.gates)
+            perm = [int(t) for t in rng.permutation(n)]
+
+            def relabel(c: Circuit) -> Circuit:
+                return Circuit(n, tuple(Gate(g.kind, tuple(perm[t] for t in g.targets)) for g in c.gates))
+
+            assert detection_probability_exact(u, ut) == detection_probability_exact(
+                relabel(u), relabel(ut)
+            )
 
     def test_s_versus_sdg(self):
         u = Circuit(1, (gate("S", 0),))
@@ -542,7 +564,9 @@ class TestPauliFrame:
     def test_depth_one_candidates(self, data):
         u = data.draw(short_clifford_circuits(1, 20))
         ps = data.draw(paulis_with_y(u.n_qubits))
-        for pull_back, build in _search(u, tableau_dagger(u), depth=1):
+        near = list(candidates(u, 1))
+        for index, pull_back, build in _search(u, tableau_dagger(u), 1, ()):
+            assert build() == near[index]
             td = tableau_dagger(build())
             for p in ps:
                 assert pull_back(p) == conjugate_pauli(td, p)
@@ -554,11 +578,103 @@ class TestPauliFrame:
         ps = data.draw(paulis_with_y(u.n_qubits))
         stride = data.draw(st.sampled_from([17, 31, 61]))
         start = data.draw(st.integers(0, stride - 1))
-        search = _search(u, tableau_dagger(u), depth=2)
-        for pull_back, build in itertools.islice(search, start, None, stride):
+        search = _search(u, tableau_dagger(u), 2, ())
+        for _, pull_back, build in itertools.islice(search, start, None, stride):
             td = tableau_dagger(build())
             for p in ps:
                 assert pull_back(p) == conjugate_pauli(td, p)
+
+
+def screened(u: Circuit, depth: int, record) -> set[int]:
+    """Indices of the candidates find_error's screen keeps on `record`."""
+    return {index for index, _, _ in _search(u, tableau_dagger(u), depth, record)}
+
+
+@st.composite
+def recorded_rounds(draw, u: Circuit) -> list:
+    """Rounds as find_error records them: p, u's pull-back q with drawn
+    eigenstate signs on q's support, and a drawn outcome.  Three p come
+    from paulis_with_y, and three are chosen so that q has its letters,
+    which are rich in Y."""
+    n = u.n_qubits
+    td, forward = tableau_dagger(u), tableau_from_circuit(u)
+    images = (conjugate_pauli(forward, q) for q in draw(paulis_with_y(n)))
+    record = []
+    for p in [*draw(paulis_with_y(n)), *(PauliString.from_bits(n, p.x, p.z) for p in images)]:
+        q = conjugate_pauli(td, p)
+        signs = draw(st.integers(0, (1 << n) - 1)) & (q.x | q.z)
+        record.append((p, EigenstatePrep(q, signs), draw(st.sampled_from([1, -1]))))
+    return record
+
+
+def ruled_out(candidate: Circuit, round_) -> bool:
+    """The round's outcome has probability 0 for the candidate."""
+    p, prep, outcome = round_
+    return expectation_on_prep(prep, conjugate_pauli(tableau_dagger(candidate), p)) == -outcome
+
+
+class TestScreen:
+    """The bit-level screen on recorded rounds, against expectation_on_prep."""
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_rule_on_lifts_sharing_q_letters(self, data):
+        # L copies q's letters on a drawn subset (rich in Y) and sometimes
+        # one more drawn letter, with a drawn sign: the cases where the
+        # round's outcome can be impossible.
+        n = data.draw(st.integers(1, 6))
+        q = data.draw(paulis_with_y(n))[data.draw(st.integers(0, 2))]
+        q = negated(q) if data.draw(st.booleans()) else q
+        keep = data.draw(st.integers(0, (1 << n) - 1))
+        extra_x, extra_z = (data.draw(st.integers(0, 1)) << data.draw(st.integers(0, n - 1)) for _ in "xz")
+        sign = data.draw(st.sampled_from([1, -1]))
+        lift = PauliString.from_bits(n, (q.x & keep) ^ extra_x, (q.z & keep) ^ extra_z, sign)
+        prep = EigenstatePrep(q, data.draw(st.integers(0, (1 << n) - 1)) & (q.x | q.z))
+        outcome = data.draw(st.sampled_from([1, -1]))
+        recorded = (0, q.x, q.z, prep.signs, outcome != prep.eigenvalue)
+        expected = expectation_on_prep(prep, pauli_multiply(lift, q)) == -outcome
+        assert _rules_out((lift.x, lift.z, lift.phase_t), recorded) == expected
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_depth_one_drop_decision(self, data):
+        u = data.draw(short_clifford_circuits(1, 12))
+        for round_ in data.draw(recorded_rounds(u)):
+            kept = screened(u, 1, [round_])
+            for index, c in enumerate(candidates(u, 1)):
+                if index:
+                    assert (index in kept) == (not ruled_out(c, round_)), index
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_sampled_depth_two_drop_decision(self, data):
+        u = data.draw(short_clifford_circuits(2, 5))
+        stride = data.draw(st.sampled_from([7, 17, 31]))
+        start = data.draw(st.integers(1, stride))
+        for round_ in data.draw(recorded_rounds(u)):
+            kept = screened(u, 2, [round_])
+            sample = itertools.islice(enumerate(candidates(u, 2)), start, None, stride)
+            for index, c in sample:
+                assert (index in kept) == (not ruled_out(c, round_)), index
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_never_drops_the_box(self, data):
+        depth = data.draw(st.sampled_from([1, 2]))
+        u = data.draw(short_clifford_circuits(1, 10 if depth == 1 else 4))
+        near = list(candidates(u, depth))
+        box = near[data.draw(st.integers(0, len(near) - 1))]
+        n, td = u.n_qubits, tableau_dagger(u)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pull_back = partial(conjugate_pauli, td)
+        record = [_round(n, pull_back, CliffordBlackBox(box), rng) for _ in range(30)]
+        kept = screened(u, depth, record)
+        truth = tableau_from_circuit(box).rows
+        step = 1 if depth == 1 else 7
+        for index in range(1, len(near), step):
+            if tableau_from_circuit(near[index]).rows == truth:
+                assert index in kept, index
+        assert near.index(box) == 0 or near.index(box) in kept
 
 
 @st.composite

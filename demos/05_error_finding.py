@@ -3,9 +3,11 @@
 If the black box is promised to differ from the known circuit in at
 most one gate (from a fixed replacement alphabet), the list of
 candidate circuits is only about as long as the circuit itself.
-Testing every candidate with the randomized equality test identifies
-one implementing the same Clifford unitary, which is everything a
-black box can reveal.  Also shown: the fidelity separation making any
+The black box's rounds against the known circuit are recorded once;
+every candidate is screened on that record without further runs, and
+the few survivors are re-tested with the randomized equality test.
+That identifies one implementing the same Clifford unitary, which is
+everything a black box can reveal.  Also shown: the fidelity separation making any
 Clifford
 difference visible - distinct Cliffords never overlap more than 1/2.
 """

@@ -293,7 +293,8 @@ class TestDetectionProbabilityExact:
             perm = [int(t) for t in rng.permutation(n)]
 
             def relabel(c: Circuit) -> Circuit:
-                return Circuit(n, tuple(Gate(g.kind, tuple(perm[t] for t in g.targets)) for g in c.gates))
+                gates = (Gate(g.kind, tuple(perm[t] for t in g.targets)) for g in c.gates)
+                return Circuit(n, tuple(gates))
 
             assert detection_probability_exact(u, ut) == detection_probability_exact(
                 relabel(u), relabel(ut)
@@ -626,7 +627,9 @@ class TestScreen:
         q = data.draw(paulis_with_y(n))[data.draw(st.integers(0, 2))]
         q = negated(q) if data.draw(st.booleans()) else q
         keep = data.draw(st.integers(0, (1 << n) - 1))
-        extra_x, extra_z = (data.draw(st.integers(0, 1)) << data.draw(st.integers(0, n - 1)) for _ in "xz")
+        extra_x, extra_z = (
+            data.draw(st.integers(0, 1)) << data.draw(st.integers(0, n - 1)) for _ in "xz"
+        )
         sign = data.draw(st.sampled_from([1, -1]))
         lift = PauliString.from_bits(n, (q.x & keep) ^ extra_x, (q.z & keep) ^ extra_z, sign)
         prep = EigenstatePrep(q, data.draw(st.integers(0, (1 << n) - 1)) & (q.x | q.z))

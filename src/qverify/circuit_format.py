@@ -38,19 +38,20 @@ def parse_circuit(text: str) -> Circuit:
     """Parse the text format into a Circuit.
 
     Raises ParseError (with line number) on malformed input and
-    UnknownGate on unrecognised gate names.
+    UnknownGate on unrecognised gate names.  Each distinct named-gate
+    line is validated once; its repeats share the validated Gate.
     """
     lines = text.splitlines()
-    # (line_no, tokens) with comments and blanks removed
+    # (line_no, stripped line) with comments and blanks removed
     items = []
     for i, raw in enumerate(lines, start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
-            items.append((i, stripped.split()))
+            items.append((i, stripped))
 
     if not items:
         raise ParseError("empty circuit file", None)
-    line_no, head = items[0]
+    line_no, head = items[0][0], items[0][1].split()
     if head[0] != "QUBITS" or len(head) != 2:
         raise ParseError("first line must be 'QUBITS n'", line_no)
     try:
@@ -59,9 +60,15 @@ def parse_circuit(text: str) -> Circuit:
         raise ParseError(f"bad qubit count {head[1]!r}", line_no) from None
 
     gates = []
+    known: dict[str, Gate] = {}  # named-gate line -> its validated Gate
     pos = 1
     while pos < len(items):
-        line_no, tokens = items[pos]
+        line_no, line = items[pos]
+        if line in known:
+            gates.append(known[line])
+            pos += 1
+            continue
+        tokens = line.split()
         name = tokens[0].upper()
         if name == "CUSTOM":
             if len(tokens) < 2:
@@ -78,7 +85,8 @@ def parse_circuit(text: str) -> Circuit:
                 raise ParseError(f"CUSTOM matrix needs {dim} rows", line_no)
             rows = []
             for r in range(dim):
-                row_line, row_tokens = items[pos + 1 + r]
+                row_line, row = items[pos + 1 + r]
+                row_tokens = row.split()
                 if len(row_tokens) != dim:
                     raise ParseError(
                         f"matrix row has {len(row_tokens)} entries, expected {dim}", row_line
@@ -96,9 +104,10 @@ def parse_circuit(text: str) -> Circuit:
             except ValueError:
                 raise ParseError("targets must be integers", line_no) from None
             try:
-                gates.append(Gate(kind, targets))
+                known[line] = Gate(kind, targets)
             except Exception as exc:
                 raise ParseError(str(exc), line_no) from None
+            gates.append(known[line])
             pos += 1
 
     try:

@@ -17,10 +17,13 @@ row j, Z_j at row n + j, so row g is selected by bit g of x | z << n.
 Construction walks the circuit gate by gate on a column-major bit
 representation (a gate touches only its target columns), then
 transposes the whole column block into rows at once.  The inverse
-circuit's tableau walks the gates backwards, each inverted.  One
-product rule (`_product`) and one conjugation loop (`_conjugate`) serve
-the tableaux here and the error finder's Pauli frames; `PauliString`
-wraps a row only where a caller needs the object.
+circuit's tableau walks the gates backwards, each inverted.  The same
+backwards walk, seeded with R Paulis instead of the 2n generators,
+pulls all R back through the circuit with no tableau at all
+(`_pull_back_batch`).  One product rule (`_product`) and one
+conjugation loop (`_conjugate`) serve the tableaux here and the error
+finder's Pauli frames; `PauliString` wraps a row only where a caller
+needs the object.
 """
 
 from __future__ import annotations
@@ -153,20 +156,45 @@ class CliffordTableau:
     rows: tuple[_Pauli, ...]
 
 
-class _ColumnTableau:
-    """Mutable column-major tableau used only during circuit walks.
+def _transpose(vectors: list[int], width: int) -> list[int]:
+    """Transpose a bit matrix: bit j of result i is bit i of vectors[j],
+    for `width`-bit vectors.  n-bit rows become columns and back."""
+    nbytes = (width + 7) // 8
+    block = b"".join(v.to_bytes(nbytes, "little") for v in vectors)
+    # Byte b of every vector, then unpacked: bits[i] holds bit i of every vector.
+    by_byte = np.frombuffer(block, dtype=np.uint8).reshape(len(vectors), nbytes).T.copy()
+    bits = np.unpackbits(by_byte, axis=0, count=width, bitorder="little")
+    packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    step = (len(vectors) + 7) // 8
+    return [int.from_bytes(packed[i * step : (i + 1) * step], "little") for i in range(width)]
 
-    Bit g of colx[q] / colz[q] is the x/z component at qubit q of the
-    image of generator g (g < n: X_g, else Z_{g-n}).  Bit g of signs
-    is 1 when that image carries a minus sign.  A gate touches only
-    its target columns, so a walk is O(gates) big-int operations.
+
+class _ColumnTableau:
+    """Mutable column-major Pauli frames, walked through a circuit.
+
+    Bit g of colx[q] / colz[q] is the x/z component at qubit q of frame
+    g, and bit g of signs is 1 when frame g carries a minus sign.  By
+    default the 2n frames are the generators (g < n: X_g, else Z_{g-n}),
+    which a walk turns into tableau rows.  Seeded with R Hermitian rows
+    instead, one walk moves all R Paulis at once (Pauli-frame
+    simulation, as in Gidney 2021, arXiv:2103.02202).  A gate touches
+    only its target columns, so a walk is O(gates) big-int operations.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, frames: list[_Pauli] | None = None):
         self.n = n
-        self.colx = [1 << q for q in range(n)]
-        self.colz = [1 << (n + q) for q in range(n)]
-        self.signs = 0
+        if frames is None:
+            self.width = 2 * n
+            self.colx = [1 << q for q in range(n)]
+            self.colz = [1 << (n + q) for q in range(n)]
+            self.signs = 0
+        else:
+            self.width = len(frames)
+            columns = _transpose([x | z << n for x, z, _ in frames], 2 * n)
+            self.colx, self.colz = columns[:n], columns[n:]
+            self.signs = sum(
+                (((t - (x & z).bit_count()) >> 1) & 1) << g for g, (x, z, t) in enumerate(frames)
+            )
 
     def apply(self, kind: GateKind, targets: tuple[int, ...]) -> None:
         if kind not in CLIFFORD_GATE_KINDS:
@@ -200,22 +228,17 @@ class _ColumnTableau:
         """Apply the gate's inverse: S and SDG swap, the others are self-inverse."""
         self.apply(_INVERSE_KIND.get(kind, kind), targets)
 
-    def to_tableau(self) -> CliffordTableau:
-        """Transpose the 2n columns (colx, then colz) into 2n rows x | z << n."""
-        n = self.n
-        nbytes = (2 * n + 7) // 8
-        block = b"".join(c.to_bytes(nbytes, "little") for c in self.colx + self.colz)
-        # Byte b of every column, then unpacked: bits[g] holds bit g of every column.
-        by_byte = np.frombuffer(block, dtype=np.uint8).reshape(2 * n, nbytes).T.copy()
-        bits = np.unpackbits(by_byte, axis=0, count=2 * n, bitorder="little")
-        packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
-        mask = (1 << n) - 1
+    def rows(self) -> list[_Pauli]:
+        """The frames as Hermitian rows (x, z, t), transposed out of the columns at once."""
+        n, mask = self.n, (1 << self.n) - 1
         rows = []
-        for g in range(2 * n):
-            vec = int.from_bytes(packed[g * nbytes : (g + 1) * nbytes], "little")
+        for g, vec in enumerate(_transpose(self.colx + self.colz, self.width)):
             x, z = vec & mask, vec >> n
             rows.append((x, z, ((x & z).bit_count() + 2 * ((self.signs >> g) & 1)) % 4))
-        return CliffordTableau(n, tuple(rows))
+        return rows
+
+    def to_tableau(self) -> CliffordTableau:
+        return CliffordTableau(self.n, tuple(self.rows()))
 
 
 def tableau_from_circuit(c: Circuit) -> CliffordTableau:
@@ -233,15 +256,28 @@ def tableau_from_circuit(c: Circuit) -> CliffordTableau:
 _INVERSE_KIND = {GateKind.S: GateKind.SDG, GateKind.SDG: GateKind.S}
 
 
+def _walk_dagger(c: Circuit, cols: _ColumnTableau) -> _ColumnTableau:
+    """Conjugate every frame of cols by U^dag for U = c: the gates walked
+    backwards, each inverted.  Raises NonCliffordGate on T or CUSTOM gates."""
+    for g in reversed(c.gates):
+        cols.apply_inverse(g.kind, g.targets)
+    return cols
+
+
 def tableau_dagger(c: Circuit) -> CliffordTableau:
-    """Tableau of the inverse circuit: the gates walked backwards, each inverted.
+    """Tableau of the inverse circuit: the generators walked back through c.
 
     Raises NonCliffordGate on T or CUSTOM gates.
     """
-    cols = _ColumnTableau(c.n_qubits)
-    for g in reversed(c.gates):
-        cols.apply_inverse(g.kind, g.targets)
-    return cols.to_tableau()
+    return _walk_dagger(c, _ColumnTableau(c.n_qubits)).to_tableau()
+
+
+def _pull_back_batch(c: Circuit, paulis: list[PauliString]) -> list[PauliString]:
+    """U^dag p U for every Hermitian p, signs included, for U = c: one walk
+    of all the Paulis as frames, with no tableau and no conjugation."""
+    n = c.n_qubits
+    frames = _ColumnTableau(n, [(p.x, p.z, p.phase_t) for p in paulis])
+    return [PauliString(n, *row) for row in _walk_dagger(c, frames).rows()]
 
 
 def conjugate_pauli(t: CliffordTableau, p: PauliString) -> PauliString:

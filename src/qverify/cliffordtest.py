@@ -9,9 +9,12 @@ symplectic maps differ on at least half of all Paulis or because they
 differ by a nonidentity Pauli factor (which anticommutes with half of
 all P).
 
-The black box measures through the tableau of its inverse circuit, so
-a round costs O(n + gates) classical work and runs at hundreds of
-qubits.
+A verdict draws its rounds in chunks.  One backwards walk of the
+known circuit pulls every Pauli of a chunk back at once, as R-bit
+Pauli frames, and the black box answers the chunk with one backwards
+walk of its hidden circuit.  So a chunk costs O(gates) big-int steps
+plus O(n) per round, with no tableau and no per-round conjugation, at
+any width.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .clifford import (
+    CLIFFORD_GATE_KINDS,
     CliffordTableau,
     PauliString,
     _ColumnTableau,
@@ -31,13 +35,14 @@ from .clifford import (
     _difference_kernel,
     _Pauli,
     _product,
+    _pull_back_batch,
     conjugate_pauli,
     random_pauli,
     tableau_dagger,
     tableau_from_circuit,
 )
 from .core import Circuit, Gate, GateKind
-from .errors import CandidateNotFound, CapExceeded, DimensionMismatch
+from .errors import CandidateNotFound, CapExceeded, DimensionMismatch, NonCliffordGate
 from .seeding import rng_from_seed
 
 
@@ -100,27 +105,63 @@ class CliffordBlackBox:
     """Runnable-but-opaque Clifford circuit.
 
     run_and_measure prepares the given product state, runs the hidden
-    circuit once and measures the given Pauli observable, returning a
-    single +-1 sample drawn from the exact expectation, which is
-    computed through the hidden inverse tableau.
+    circuit U once and measures the given Pauli observable P, returning
+    a single +-1 sample drawn from the exact expectation
+    <psi_in| U^dag P U |psi_in>.  It is the one entry that counts as a
+    run.  A verdict's chunk of rounds gets every U^dag P U from one
+    backwards walk of U (`_run_batch`), which then calls run_and_measure
+    once per round with that image; the box keeps nothing of the chunk.
+    A call from outside a batch pulls P back through the inverse
+    tableau, which is built on the first such call.
     """
 
     def __init__(self, circuit: Circuit):
-        self._dagger_tableau = tableau_dagger(circuit)
+        kinds = [g.kind for g in circuit.gates if g.kind not in CLIFFORD_GATE_KINDS]
+        if kinds:  # named as a backwards walk meets them: the last one first
+            raise NonCliffordGate(f"{kinds[-1].value} is not a Clifford gate")
+        self._circuit = circuit
+        self._dagger_tableau: CliffordTableau | None = None
 
     @property
     def n_qubits(self) -> int:
-        return self._dagger_tableau.n
+        return self._circuit.n_qubits
 
     def measurement_expectation(self, prep: EigenstatePrep, observable: PauliString) -> float:
         """E[sample] = <psi_in| U^dag P U |psi_in> for the hidden U."""
+        # Two threads may both build the tableau once; they store equal values.
+        if self._dagger_tableau is None:
+            self._dagger_tableau = tableau_dagger(self._circuit)
         return expectation_on_prep(prep, conjugate_pauli(self._dagger_tableau, observable))
 
     def run_and_measure(
-        self, prep: EigenstatePrep, observable: PauliString, rng: np.random.Generator
+        self,
+        prep: EigenstatePrep,
+        observable: PauliString,
+        rng: np.random.Generator,
+        *,
+        _image: PauliString | None = None,
     ) -> int:
-        e = min(1.0, max(-1.0, self.measurement_expectation(prep, observable)))
+        """One run: a +-1 sample of P; _image is U^dag P U when a chunk's walk gave it."""
+        if _image is None:
+            e = self.measurement_expectation(prep, observable)
+        else:
+            e = expectation_on_prep(prep, _image)
+        e = min(1.0, max(-1.0, e))
         return 1 if rng.random() < (1.0 + e) / 2.0 else -1
+
+    def _run_batch(
+        self,
+        preps: list[EigenstatePrep],
+        observables: list[PauliString],
+        rngs: list[np.random.Generator],
+    ) -> list[int]:
+        """run_and_measure per round, each given its U^dag P U from one
+        backwards walk of the hidden circuit over all the observables."""
+        images = _pull_back_batch(self._circuit, observables)
+        return [
+            self.run_and_measure(prep, p, rng, _image=image)
+            for prep, p, rng, image in zip(preps, observables, rngs, images)
+        ]
 
 
 @dataclass(frozen=True)
@@ -167,6 +208,11 @@ def run_test_once(
     return TestRun(pauli=p, conjugated=prep.q, eigenvalue=prep.eigenvalue, outcome=outcome)
 
 
+# Rounds whose Paulis walk through the circuits together; a round's draws
+# do not depend on it.
+_CHUNK = 256
+
+
 def equivalence_verdict(
     u: Circuit, ut: CliffordBlackBox, repetitions: int, seed: int
 ) -> CliffordTestReport:
@@ -174,16 +220,31 @@ def equivalence_verdict(
 
     Equal circuits are never rejected; a single eigenvalue mismatch
     proves the circuits differ.
+
+    Round i draws from its own rng_from_seed(seed, i): its Pauli, its
+    eigenstate coins, its outcome, as run_test_once does.  A chunk's
+    Paulis are drawn first and pulled back through u by one backwards
+    walk, then each round's coins and outcome follow, so the report is
+    the one run_test_once gives round by round.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if u.n_qubits != ut.n_qubits:
         raise DimensionMismatch(f"{u.n_qubits} vs {ut.n_qubits} qubits")
-    td = tableau_dagger(u)
-    runs = tuple(run_test_once(td, ut, rng_from_seed(seed, i)) for i in range(repetitions))
+    n = u.n_qubits
+    runs = []
+    for start in range(0, repetitions, _CHUNK):
+        rngs = [rng_from_seed(seed, i) for i in range(start, min(start + _CHUNK, repetitions))]
+        paulis = [random_pauli(n, rng) for rng in rngs]
+        preps = [prepare_input(q, rng) for q, rng in zip(_pull_back_batch(u, paulis), rngs)]
+        outcomes = ut._run_batch(preps, paulis, rngs)
+        runs += [
+            TestRun(pauli=p, conjugated=prep.q, eigenvalue=prep.eigenvalue, outcome=outcome)
+            for p, prep, outcome in zip(paulis, preps, outcomes)
+        ]
     rejections = sum(r.rejected for r in runs)
     return CliffordTestReport(
-        runs=runs,
+        runs=tuple(runs),
         verdict="different" if rejections else "equal",
         per_run_detection_estimate=rejections / repetitions,
         seed=seed,
@@ -534,6 +595,10 @@ def find_error(
 
     The tableau of U^dag is built once; each candidate's rounds pull p
     back through it and correct the result at the replaced positions.
+    The box is queried one round at a time, because each candidate's
+    rounds draw from one seeded stream in turn (its Pauli, its coins,
+    its outcome, then the next round's Pauli); so the box builds its
+    inverse tableau on the first of them.
     """
     if depth not in (1, 2):
         raise ValueError(f"depth must be 1 or 2, got {depth}")

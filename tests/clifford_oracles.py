@@ -12,6 +12,9 @@ inverse tableau per candidate, screening each on u's recorded rounds with
 bit-level screen.
 `rows_by_bits` transposes a circuit walk's columns into tableau rows one
 bit at a time, the oracle for the vectorised transpose.
+`verdict_by_rounds` runs the equality test one `run_test_once` round at a
+time through both inverse tableaux, the oracle for the verdict's chunked
+Pauli-frame walks.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from qverify.clifford import (
 )
 from qverify.cliffordtest import (
     CliffordBlackBox,
+    CliffordTestReport,
     EigenstatePrep,
     _position_alternatives,
     expectation_on_prep,
@@ -227,4 +231,21 @@ def find_error_by_tableaux(
             return candidate
     raise CandidateNotFound(
         f"no circuit within {depth} replacement(s) of u matches the black box"
+    )
+
+
+def verdict_by_rounds(
+    u: Circuit, ut: CliffordBlackBox, repetitions: int, seed: int
+) -> CliffordTestReport:
+    """equivalence_verdict as one run_test_once per round, round i on
+    rng_from_seed(seed, i), each pulled back through u's inverse tableau
+    and measured through the box's."""
+    td = tableau_dagger(u)
+    runs = tuple(run_test_once(td, ut, rng_from_seed(seed, i)) for i in range(repetitions))
+    rejections = sum(r.rejected for r in runs)
+    return CliffordTestReport(
+        runs=runs,
+        verdict="different" if rejections else "equal",
+        per_run_detection_estimate=rejections / repetitions,
+        seed=seed,
     )

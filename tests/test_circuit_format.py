@@ -32,6 +32,28 @@ def test_malformed_cnot_reports_line():
     assert err.value.line == 2
 
 
+def test_repeated_lines_parse_as_each_alone():
+    text = "QUBITS 3\nH 0\nCNOT 0 1\nH 0  # again\nh 0\nH  0\nCNOT 0 1\nCNOT 1 0\n"
+    c = parse_circuit(text)
+    alone = [parse_circuit(f"QUBITS 3\n{line}\n").gates[0] for line in text.splitlines()[1:]]
+    assert list(c.gates) == alone
+
+
+def test_repeated_bad_line_reports_its_first_line():
+    with pytest.raises(ParseError) as err:
+        parse_circuit("QUBITS 2\nH 0\nCNOT 1 1\nH 0\nCNOT 1 1\n")
+    assert err.value.line == 3
+    with pytest.raises(ParseError) as err:
+        parse_circuit("QUBITS 2\nH 0\nH 0\nH 5\n")
+    assert err.value.line is None  # out of range: checked on the whole circuit
+
+
+def test_repeated_custom_header_reads_its_own_matrix():
+    c = parse_circuit("QUBITS 1\nCUSTOM 1 0\n0,0 1,0\n1,0 0,0\nCUSTOM 1 0\n1,0 0,0\n0,0 -1,0\n")
+    assert np.array_equal(c.gates[0].matrix, [[0, 1], [1, 0]])
+    assert np.array_equal(c.gates[1].matrix, [[1, 0], [0, -1]])
+
+
 def test_unknown_gate():
     with pytest.raises(UnknownGate):
         parse_circuit("QUBITS 1\nFOO 0\n")

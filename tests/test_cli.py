@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON reports, reproducibility."""
 
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 from conftest import load_benchmark_workloads, random_general_circuit
 from qverify import cli, core, pipeline
 from qverify.circuit_format import load_circuit, save_circuit
+from qverify.clifford import random_clifford_circuit
 from qverify.cli import main
 from qverify.core import Circuit, Gate, GateKind, circuit_unitary, custom_gate, gate
 from qverify.errors import DomainError, ParseError
@@ -191,6 +193,32 @@ class TestCliffordCommands:
     def test_t_gate_rejected_with_exit_two(self, files, capsys):
         code = main(["clifford-test", "--u", files["u"], "--ut", files["t"]])
         assert code == 2
+
+    # sha256 of `clifford-test --json` stdout on seeded pairs; a change to the
+    # rounds' random stream shows here as the outputs it moves.
+    PINNED_REPORTS = {
+        (2, False): "b3047321c9328b64cafb51eae47ccd9be947f9a246a09da5f4ff51ddb1bc1521",
+        (2, True): "195a52989b035d7131ad889b6ed534b63fa168a19249baa2a096e226d0505b6d",
+        (8, False): "83638b3e3a3a95f0c5a4c4d6dd7b1a9694b3fd1abe1b62f275c24651b7a6b708",
+        (8, True): "676e862fbdcb64d736068f860dafbae10d4ff37f583a4ba766ebf26c5819e47e",
+        (200, False): "9ac98f886a3556020c40f1f09504d03f4f52132b45595a88bebfec393a99a177",
+        (200, True): "6dea7657e30033f8f4d97936bb9d31a283106674bc01569b3afc714c31af158d",
+    }
+
+    @pytest.mark.parametrize("n, shifted", sorted(PINNED_REPORTS))
+    def test_seeded_report_bytes_pinned(self, tmp_path, capsys, n, shifted):
+        gates, runs = {2: (40, 600), 8: (80, 300), 200: (2000, 60)}[n]
+        rng = np.random.default_rng(n)
+        u = random_clifford_circuit(n, gates, rng)
+        ut = Circuit(n, u.gates + (gate("Z", int(rng.integers(0, n))),)) if shifted else u
+        save_circuit(u, tmp_path / "u.qc")
+        save_circuit(ut, tmp_path / "ut.qc")
+        code, out = run_cli(
+            capsys, "clifford-test", "--u", str(tmp_path / "u.qc"), "--ut", str(tmp_path / "ut.qc"),
+            "--runs", str(runs), "--seed", "11", "--json",
+        )
+        assert code == (1 if shifted else 0)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_REPORTS[n, shifted]
 
     def test_find_error_recovers(self, files, capsys):
         code, report = run_json(
@@ -436,12 +464,12 @@ class TestErrorHandling:
         assert main([command, "--u", str(u), "--ut", str(ut), "--cap", str(cap)]) == 2
         assert capsys.readouterr().err == f"error: {cap + 1} qubits exceeds dense cap {cap}\n"
 
-    @pytest.mark.skipif(resource is None, reason="needs the resource module")
-    @pytest.mark.parametrize("command", ["clifford-test", "find-error"])
-    def test_out_of_memory_exit_two_one_line(self, tmp_path, command):
-        # A 30,000-qubit tableau needs gigabytes; the child may map 512 MiB.
+    @staticmethod
+    def run_capped(tmp_path, command: str, qubits: int) -> subprocess.CompletedProcess:
+        """`command` on a pair of equal one-gate files of `qubits` qubits, in
+        a child that may map 512 MiB."""
         wide = tmp_path / "wide.qc"
-        wide.write_text("QUBITS 30000\nH 0\n")
+        wide.write_text(f"QUBITS {qubits}\nH 0\n")
         limit = 512 * 2**20
 
         def cap_child():
@@ -449,7 +477,7 @@ class TestErrorHandling:
 
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "qverify.cli", command, "--u", str(wide), "--ut", str(wide)],
             capture_output=True,
             text=True,
@@ -457,9 +485,26 @@ class TestErrorHandling:
             preexec_fn=cap_child,
             timeout=120,
         )
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    @pytest.mark.parametrize("command", ["clifford-test", "find-error"])
+    def test_out_of_memory_exit_two_one_line(self, tmp_path, command):
+        # find-error builds a 30,000-qubit tableau, gigabytes.  clifford-test
+        # keeps no tableau, but 60 Pauli frames on 10^7 qubits alone need
+        # more than the cap.
+        qubits = {"clifford-test": 10**7, "find-error": 30_000}[command]
+        done = self.run_capped(tmp_path, command, qubits)
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
         assert done.stdout == ""
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_wide_clifford_test_needs_no_tableau(self, tmp_path):
+        # The 30,000-qubit pair find-error runs out of memory on: a verdict
+        # walks 60 Pauli frames through the gates instead.
+        done = self.run_capped(tmp_path, "clifford-test", 30_000)
+        assert done.returncode == 0, done.stderr
+        assert "verdict: equal" in done.stdout and done.stderr == ""
 
     def test_usage_error(self, capsys):
         assert main(["distance"]) == 2

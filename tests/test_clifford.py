@@ -15,10 +15,18 @@ from clifford_oracles import (
     gf2_solve,
     rows_by_bits,
 )
-from conftest import clifford_circuits, dagger, negated, pauli_kron, pauli_multiply
+from conftest import (
+    CLIFFORD_ONE_QUBIT_KINDS,
+    clifford_circuits,
+    dagger,
+    negated,
+    pauli_kron,
+    pauli_multiply,
+)
 from qverify.clifford import (
     CliffordTableau,
     PauliString,
+    _pull_back_batch,
     conjugate_pauli,
     differing_pauli_fraction,
     random_clifford_circuit,
@@ -28,7 +36,8 @@ from qverify.clifford import (
     tableau_equal,
     tableau_from_circuit,
 )
-from qverify.core import Circuit, circuit_unitary, gate
+from qverify.core import Circuit, Gate, GateKind, circuit_unitary, gate
+from qverify.cliffordtest import _CHUNK
 from qverify.errors import DimensionMismatch, NonCliffordGate
 
 
@@ -187,6 +196,54 @@ class TestTableauFromCircuit:
             tableau_from_circuit(single("T"))
         with pytest.raises(NonCliffordGate, match="^T is not a Clifford gate$"):
             tableau_dagger(single("T"))
+
+
+def every_kind_circuit(n: int, length: int, rng: np.random.Generator) -> Circuit:
+    """Random gates of every tableau kind (I, X, Y, Z, H, S, SDG, CNOT)."""
+    kinds = CLIFFORD_ONE_QUBIT_KINDS + ([GateKind.CNOT] if n >= 2 else [])
+    gates = []
+    for _ in range(length):
+        kind = kinds[int(rng.integers(0, len(kinds)))]
+        targets = rng.choice(n, size=2 if kind is GateKind.CNOT else 1, replace=False)
+        gates.append(Gate(kind, tuple(int(t) for t in targets)))
+    return Circuit(n, tuple(gates))
+
+
+def signed_paulis(n: int, count: int, rng: np.random.Generator) -> list[PauliString]:
+    """Random letters with random signs; all-Y and -I lead when there is room."""
+    full = (1 << n) - 1
+    ps = [PauliString.from_bits(n, full, full, -1), PauliString.from_bits(n, 0, 0, -1)]
+    while len(ps) < count:
+        p = random_pauli(n, rng)
+        ps.append(PauliString.from_bits(n, p.x, p.z, int(rng.choice((1, -1)))))
+    return ps[:count]
+
+
+class TestPullBackBatch:
+    """One frame walk pulls R Paulis back as U^dag p U, signs included."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
+    def test_matches_tableau_conjugation(self, n):
+        rng = np.random.default_rng(n)
+        for count in (1, 7, 8, 9, 64, 65):
+            c = every_kind_circuit(n, 3 * n + 10, rng)
+            ps = signed_paulis(n, count, rng)
+            td = tableau_dagger(c)
+            assert _pull_back_batch(c, ps) == [conjugate_pauli(td, p) for p in ps]
+
+    def test_batch_larger_than_a_chunk(self, rng):
+        c = every_kind_circuit(9, 60, rng)
+        ps = signed_paulis(9, _CHUNK + 45, rng)
+        td = tableau_dagger(c)
+        assert _pull_back_batch(c, ps) == [conjugate_pauli(td, p) for p in ps]
+
+    def test_empty_circuit_returns_the_batch(self, rng):
+        ps = signed_paulis(5, 20, rng)
+        assert _pull_back_batch(Circuit(5, ()), ps) == ps
+
+    def test_rejects_non_clifford(self):
+        with pytest.raises(NonCliffordGate, match="^T is not a Clifford gate$"):
+            _pull_back_batch(single("T"), [PauliString.from_label("X")])
 
 
 def generator(n: int, g: int) -> np.ndarray:

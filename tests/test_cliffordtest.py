@@ -1,6 +1,10 @@
 """Randomized Clifford equality test: exactness, oracles, error finding."""
 
 import itertools
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -14,6 +18,7 @@ from clifford_oracles import (
     conjugate_pauli_inverse,
     entanglement_fidelity_enumerated,
     find_error_by_tableaux,
+    verdict_by_rounds,
 )
 from conftest import (
     INV_SQRT2,
@@ -35,6 +40,7 @@ from qverify.clifford import (
     tableau_from_circuit,
 )
 from qverify.cliffordtest import (
+    _CHUNK,
     CliffordBlackBox,
     EigenstatePrep,
     _round,
@@ -50,8 +56,9 @@ from qverify.cliffordtest import (
     run_test_once,
 )
 from qverify.core import Circuit, Gate, circuit_unitary, gate
-from qverify.errors import CandidateNotFound, CapExceeded, DimensionMismatch
+from qverify.errors import CandidateNotFound, CapExceeded, DimensionMismatch, NonCliffordGate
 from qverify.metrics import trace_overlap
+from qverify.seeding import rng_from_seed
 
 
 def one_qubit_expectation(entry: tuple[str, int], letter: str) -> float:
@@ -331,6 +338,16 @@ class TestDetectionProbabilityExact:
                 continue
             assert detection_probability_exact(a, b) > 0.0
 
+    def test_every_one_qubit_pair(self):
+        # The exact per-round detection probability takes three values on
+        # the 552 ordered pairs of distinct one-qubit Cliffords.
+        circuits = one_qubit_clifford_circuits()
+        values = Counter(
+            Fraction(detection_probability_exact(a, b))
+            for a, b in itertools.permutations(circuits, 2)
+        )
+        assert values == {Fraction(1, 4): 144, Fraction(3, 8): 192, Fraction(1, 2): 216}
+
     def test_cap(self, rng):
         c = random_clifford_circuit(8, 5, rng)
         with pytest.raises(CapExceeded):
@@ -427,6 +444,49 @@ class TestEquivalenceVerdict:
         b = equivalence_verdict(u, CliffordBlackBox(ut), 10, seed=42)
         assert a == b
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 65])
+    def test_same_report_as_round_by_round(self, n):
+        # More rounds than a chunk where n is small, so chunk edges are crossed.
+        rng = np.random.default_rng(n)
+        repetitions = _CHUNK + 44 if n <= 8 else 40
+        u = random_clifford_circuit(n, 4 * n + 10, rng)
+        for ut in (u, Circuit(n, u.gates + (gate("Z", int(rng.integers(0, n))),))):
+            box = CliffordBlackBox(ut)
+            for seed in (0, 9):
+                report = equivalence_verdict(u, box, repetitions, seed)
+                assert report == verdict_by_rounds(u, box, repetitions, seed)
+
+    def test_one_box_shared_by_threads(self, rng):
+        # Verdicts walk the box in chunks; lone rounds make it build its
+        # tableau on first use.  Four threads on one fresh box, switching
+        # often, get what one thread gets.
+        u = random_clifford_circuit(6, 60, rng)
+        hidden = Circuit(6, u.gates + (gate("Y", 2),))
+        td = tableau_dagger(u)
+
+        def job(box, k):
+            if k % 2:
+                return equivalence_verdict(u if k % 4 == 1 else Circuit(6, ()), box, 300, k)
+            return [run_test_once(td, box, rng_from_seed(k, i)) for i in range(60)]
+
+        alone_box = CliffordBlackBox(hidden)
+        alone = [job(alone_box, k) for k in range(12)]
+        box = CliffordBlackBox(hidden)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(job, box, k) for k in range(12)]
+                shared = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared == alone
+        assert all(report.verdict == "different" for report in alone[1::2])
+
+    def test_non_clifford_box_rejected_at_construction(self):
+        with pytest.raises(NonCliffordGate, match="^T is not a Clifford gate$"):
+            CliffordBlackBox(Circuit(2, (gate("T", 0), gate("CNOT", 0, 1), gate("T", 1))))
+
 
 class TestFindError:
     def test_equal_black_box_returns_u(self, rng):
@@ -503,9 +563,9 @@ class TestFindError:
         cases = []
         for n, s, depth in ((3, 0, 1), (4, 12, 1), (8, 200, 1), (2, 6, 2)):
             u = random_clifford_circuit(n, s, rng)
-            cases.append((u, CliffordBlackBox(u), depth))  # found at once
+            cases.append((u, u, depth))  # found at once
             ut = random_clifford_circuit(n, s + 3, rng)
-            cases.append((u, CliffordBlackBox(ut), depth))  # most likely not found
+            cases.append((u, ut, depth))  # most likely not found
         calls = []
 
         def counted(c):
@@ -514,14 +574,17 @@ class TestFindError:
 
         monkeypatch.setattr("qverify.cliffordtest.tableau_dagger", counted)
         outcomes = []
-        for u, box, depth in cases:
-            calls.clear()
+        for u, hidden, depth in cases:
+            box = CliffordBlackBox(hidden)
+            assert calls == []  # the box builds its tableau on its first run
             try:
                 find_error(u, box, depth=depth, repetitions=20, seed=0)
                 outcomes.append("found")
             except CandidateNotFound:
                 outcomes.append("not found")
-            assert calls == [u]
+            # u's tableau, then the box's on its first run; no candidate's.
+            assert calls == [u, hidden]
+            calls.clear()
         assert "not found" in outcomes
 
 

@@ -23,8 +23,9 @@ Conventions used throughout the package:
   distances all come from two 2^m x 2^m unitaries.
 
 A size limit sits only where a 2^n object is built: ``circuit_unitary``
-refuses more than ``cap`` qubits (default ``DEFAULT_QUBIT_CAP``), so
-``window`` bounds the width of the window, not of the circuits.
+and ``one_gate_transfers`` refuse more than ``cap`` qubits (default
+``DEFAULT_QUBIT_CAP``), so ``window`` bounds the width of the window,
+not of the circuits.
 Everything here is immutable after construction and safe to use from
 concurrent workers.
 """
@@ -33,6 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from typing import Sequence
 
 import numpy as np
 
@@ -196,7 +199,7 @@ class Circuit:
                     )
 
     def __hash__(self):
-        # Computed once per object: circuits key the production line's tables.
+        # Computed once per object: a circuit may key many table lookups.
         try:
             return self._hash
         except AttributeError:
@@ -262,6 +265,38 @@ def circuit_unitary(c: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> UnitaryMatrix:
     for g in c.gates:
         arr = _contract(arr, g.unitary(), g.targets)
     return UnitaryMatrix(arr.reshape(dim, dim), tol=DERIVED_TOL)
+
+
+def one_gate_transfers(
+    c: Circuit, replacements: Sequence[tuple[int, Gate]], cap: int = DEFAULT_QUBIT_CAP
+) -> list[np.ndarray]:
+    """V = P_i^dag (G_i^dag Gt (x) I) P_i for each replacement (i, Gt) of `c`.
+
+    P_i is the product of the gates before position i, so `c` with
+    gate i replaced by Gt has unitary U V, and two such circuits
+    have Tr(U_a^dag U_b) = Tr(V_a^dag V_b): the gates after a
+    replacement are never needed.  One sweep over the gates holds one
+    live prefix; each V then costs one contraction and one matmul.
+    """
+    if c.n_qubits > cap:
+        raise CapExceeded(f"{c.n_qubits} qubits exceeds dense cap {cap}")
+    n = c.n_qubits
+    dim = 2**n
+    prefix = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
+    swept = 0
+    out: list = [None] * len(replacements)
+    order = sorted(range(len(replacements)), key=lambda r: replacements[r][0])
+    for pos, group in groupby(order, key=lambda r: replacements[r][0]):
+        for g in c.gates[swept:pos]:
+            prefix = _contract(prefix, g.unitary(), g.targets)
+        swept = pos
+        original = c.gates[pos]
+        g_dag = original.unitary().conj().T
+        p_dag = prefix.reshape(dim, dim).conj().T
+        for r in group:
+            diff = g_dag @ replacements[r][1].unitary()
+            out[r] = p_dag @ _contract(prefix, diff, original.targets).reshape(dim, dim)
+    return out
 
 
 def window(

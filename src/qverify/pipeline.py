@@ -8,13 +8,24 @@ long as fewer than half the batch is faulty - which fails with
 probability at most exp(-KL(1/2 || f) * n) - an error-free pairwise
 tester removes exactly the faulty circuits.
 
-The swap-shot tester keys circuits by content: each distinct circuit
-gets one row of a table of pair probabilities and one unitary, built
-on first sight, so the work and memory of a run grow with the number
-of distinct circuits, not with the number of batches.  A batch costs
-one table lookup and one vectorised binomial draw.  The table grows in
-place, so a tester serves one run in one thread; `simulate_production`
-builds its own.
+A run works on the factory's rows, not on circuits: row 0 is the ideal
+and row f + 1 is the ideal with fault f's gate in place.  Batches are
+drawn as rows a chunk at a time, and only the pairs of rows that meet
+in a chunk get a swap-shot probability, each from the smallest object
+that carries it:
+
+* a row against itself: exactly 0;
+* the ideal against a fault, or two faults at one position: the two
+  2^k gate matrices, Tr(G_a^dag G_b) / 2^k (the transfer identity);
+* two faults at positions i != j: V_f = P_i^dag (G_i^dag Gt_f (x) I) P_i
+  from the ideal's prefix products (`core.one_gate_transfers`).  Fault
+  f's unitary is U V_f, so Tr(U_a^dag U_b) = Tr(V_a^dag V_b) and the
+  suffix is never built.
+
+No circuit unitary is built: a run holds one live prefix while it
+sweeps the ideal's gates, plus one V per fault that met a fault at
+another position.  Each batch then costs one vectorised binomial draw
+on its own seeded stream.
 """
 
 from __future__ import annotations
@@ -26,9 +37,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_QUBIT_CAP, Circuit, Gate, UnitaryMatrix, circuit_unitary
+from .core import DEFAULT_QUBIT_CAP, Circuit, Gate, UnitaryMatrix, one_gate_transfers, window
 from .errors import CapExceeded, DomainError, EvenBatch
-from .metrics import _clamp01, one_gate_pair, worst_distance
+from .metrics import _clamp01, one_gate_pair, trace_overlap, worst_distance
 from .seeding import rng_from_seed
 
 
@@ -63,6 +74,10 @@ def batch_failure_bound(f: float, n: int) -> float:
     return math.exp(-kl_divergence_binary(0.5, f) * n)
 
 
+# Pairs drawn and filled at once: a run's memory stays flat in its batch count.
+_CHUNK_PAIRS = 1 << 16
+
+
 @lru_cache(maxsize=8)
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the pairs i < j of n items, row-major."""
@@ -72,13 +87,19 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def _shot_probability(overlap: complex) -> float:
+    """One swap shot's firing probability at trace overlap Tr(U^dag V) / 2^n."""
+    return _clamp01(0.5 - 0.5 * abs(overlap) ** 2)
+
+
 class SwapShotTester:
     """One-sided pairwise tester: r = ceil(18 ln(1/delta)) swap-test shots.
 
-    A pair is 'not equal' as soon as one shot fires; equal circuits
-    never fire.  `pair_probabilities` reads a batch's pairs from the
-    content-keyed table, filling an entry by `shot_probability` the
-    first time its pair is seen; unitaries are built only there.
+    A pair is 'not equal' as soon as one of its r shots fires; equal
+    circuits never fire.  `shot_probability` compares two circuits on
+    the window where they differ (`core.window`), so `cap` bounds the
+    window, not the circuits.  `simulate_production` takes r from here
+    and reads its pairs' probabilities off the factory's rows instead.
     """
 
     def __init__(self, delta: float, cap: int = DEFAULT_QUBIT_CAP):
@@ -87,47 +108,9 @@ class SwapShotTester:
         # -log(delta), not log(1/delta): 1/delta overflows for subnormal delta.
         self.repetitions = max(1, math.ceil(18.0 * -math.log(delta)))
         self._cap = cap
-        self._rows: dict[Circuit, int] = {}
-        self._unitaries: dict[int, np.ndarray] = {}
-        self._table = np.empty((0, 0))  # shot probability by (row, row); nan until seen
-
-    def _row(self, c: Circuit) -> int:
-        row = self._rows.setdefault(c, len(self._rows))
-        size = len(self._table)
-        if row == size:
-            grown = np.full((2 * size + 1, 2 * size + 1), np.nan)
-            grown[:size, :size] = self._table
-            self._table = grown
-        return row
-
-    def _unitary(self, c: Circuit) -> np.ndarray:
-        row = self._row(c)
-        if row not in self._unitaries:
-            self._unitaries[row] = circuit_unitary(c, cap=self._cap).matrix
-        return self._unitaries[row]
 
     def shot_probability(self, a: Circuit, b: Circuit) -> float:
-        ua, ub = self._unitary(a), self._unitary(b)
-        overlap = complex(np.vdot(ua, ub)) / ua.shape[0]
-        return _clamp01(0.5 - 0.5 * abs(overlap) ** 2)
-
-    def pair_probabilities(self, batch: Sequence[Circuit]) -> np.ndarray:
-        """Shot probabilities of the pairs i < j of `batch`, in row-major order."""
-        ids = np.array([self._row(c) for c in batch])
-        i, j = _pairs(len(batch))
-        a, b = ids[i], ids[j]
-        for k in np.flatnonzero(np.isnan(self._table[a, b])):
-            if np.isnan(self._table[a[k], b[k]]):  # an earlier pair may have filled it
-                self._table[a[k], b[k]] = self.shot_probability(batch[i[k]], batch[j[k]])
-        return self._table[a, b]
-
-    def pair_verdicts(self, batch: Sequence[Circuit], rng: np.random.Generator) -> np.ndarray:
-        """'Not equal' verdicts of the pairs i < j of `batch`, in row-major order.
-
-        One binomial draw for the whole batch: numpy draws an array in
-        the same stream, and so to the same counts, as one draw per pair.
-        """
-        return rng.binomial(self.repetitions, self.pair_probabilities(batch)) > 0
+        return _shot_probability(trace_overlap(*window(a, b, cap=self._cap)))
 
 
 @dataclass(frozen=True)
@@ -138,8 +121,9 @@ class FactoryModel:
     By the transfer identity Dmax(U, Ut) = Dmax(G, Gt) (the one-gate
     case of `core.window`), each is screened on the two gate matrices,
     once per distinct pair of matrices, and those at distance >= eps
-    become `faults`; no circuit unitary is built.  The model never
-    changes, so runs may share it; each run's tester is its own.
+    become `faults`, with their (position, gate) in `fault_sites`; no
+    circuit unitary is built.  The model never changes, so runs may
+    share it.
     """
 
     ideal: Circuit
@@ -147,6 +131,7 @@ class FactoryModel:
     replacements: Sequence[tuple[int, Gate]]
     eps: float
     faults: tuple[Circuit, ...] = field(init=False, repr=False, compare=False)
+    fault_sites: tuple[tuple[int, Gate], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.fault_prob < 0.5:
@@ -163,7 +148,7 @@ class FactoryModel:
                 matrices[k] = UnitaryMatrix(m)
             return k
 
-        faults = []
+        faults, sites = [], []
         for pos, g in self.replacements:
             faulty = one_gate_pair(self.ideal, pos, g)[1]  # checks position and targets
             pair = (key(self.ideal.gates[pos]), key(g))
@@ -172,17 +157,79 @@ class FactoryModel:
                 reaches[pair] = distance >= self.eps - 1e-9
             if reaches[pair]:
                 faults.append(faulty)
+                sites.append((pos, g))
         if not faults:
             raise DomainError(
                 f"no single-gate replacement of the ideal circuit reaches eps={self.eps}"
             )
         object.__setattr__(self, "faults", tuple(faults))
+        object.__setattr__(self, "fault_sites", tuple(sites))
 
-    def sample(self, rng: np.random.Generator) -> tuple[Circuit, bool]:
-        """One circuit off the line plus its ground-truth faulty flag."""
-        if rng.random() < self.fault_prob:
-            return self.faults[rng.integers(0, len(self.faults))], True
-        return self.ideal, False
+    def sample_rows(self, rng: np.random.Generator, count: int) -> list[int]:
+        """`count` circuits off the line, as rows: 0 for the ideal, f + 1 for faults[f].
+
+        Each circuit draws rng.random(), then rng.integers for a fault.
+        """
+        random, integers, faults = rng.random, rng.integers, len(self.faults)
+        return [int(integers(0, faults)) + 1 if random() < self.fault_prob else 0 for _ in range(count)]
+
+
+class _RowPairs:
+    """Swap-shot probabilities between a factory's rows, for the pairs that meet.
+
+    Row 0 is the ideal and row f + 1 is fault f (see the module notes).
+    The ideal's probability against a fault is kept once computed, and
+    a fault's V once it met a fault at another position.
+    """
+
+    def __init__(self, factory: FactoryModel, cap: int):
+        self._ideal = factory.ideal
+        self._sites = factory.fault_sites
+        self._cap = cap
+        self._against_ideal = np.full(len(self._sites) + 1, np.nan)  # by row, nan until met
+        self._transfers: dict[int, np.ndarray] = {}  # V by fault
+
+    def pair_probabilities(self, rows: np.ndarray) -> np.ndarray:
+        """Probabilities of the pairs i < j of each batch (a row of `rows`), row-major."""
+        i, j = _pairs(rows.shape[1])
+        left, right = rows[:, i], rows[:, j]
+        out = np.zeros(left.shape)  # a row against itself stays exactly 0
+        with_ideal = (left == 0) != (right == 0)
+        faults = left[with_ideal] + right[with_ideal]
+        for f in set(faults[np.isnan(self._against_ideal[faults])].tolist()):
+            self._against_ideal[f] = self._probability(0, f)
+        out[with_ideal] = self._against_ideal[faults]
+        two = (left != right) & (left > 0) & (right > 0)
+        lo, hi = np.minimum(left[two], right[two]), np.maximum(left[two], right[two])
+        width = len(self._sites) + 1
+        keys, where = np.unique(lo * width + hi, return_inverse=True)
+        met = [divmod(k, width) for k in keys.tolist()]
+        apart = {
+            f
+            for a, b in met
+            if self._sites[a - 1][0] != self._sites[b - 1][0]
+            for f in (a - 1, b - 1)
+            if f not in self._transfers
+        }
+        if apart:
+            new = sorted(apart)
+            transfers = one_gate_transfers(self._ideal, [self._sites[f] for f in new], self._cap)
+            self._transfers.update(zip(new, transfers))
+        out[two] = np.array([self._probability(a, b) for a, b in met])[where]
+        return out
+
+    def _probability(self, a: int, b: int) -> float:
+        """Rows a < b: the ideal (a = 0) or a fault against fault b - 1."""
+        pos, gate_b = self._sites[b - 1]
+        if a == 0:
+            gate_a = self._ideal.gates[pos]
+        else:
+            pos_a, gate_a = self._sites[a - 1]
+            if pos_a != pos:
+                va, vb = self._transfers[a - 1], self._transfers[b - 1]
+                return _shot_probability(complex(np.vdot(va, vb)) / va.shape[0])
+        ma, mb = gate_a.unitary(), gate_b.unitary()
+        return _shot_probability(complex(np.vdot(ma, mb)) / ma.shape[0])
 
 
 @dataclass(frozen=True)
@@ -198,27 +245,32 @@ class BatchResult:
 
 
 def winnow_batch(
-    batch: Sequence[Circuit],
-    tester: SwapShotTester,
+    probabilities: np.ndarray,
+    repetitions: int,
     rng: np.random.Generator,
     truth: Sequence[bool] | None = None,
 ) -> BatchResult:
     """Test all pairs; discard circuits losing more than half their tests.
 
-    With odd batch size n each circuit is in n-1 tests; n-1 is even, so
-    a circuit with exactly (n-1)/2 'not equal' verdicts is a tie and is
-    kept (the rule is strictly more than half).
+    `probabilities` is the batch's n x n table of single-shot firing
+    probabilities; entry (i, j), i < j, is read for the pair (i, j).
+    Each pair gets `repetitions` shots and is 'not equal' if any fires,
+    all from one binomial draw in row-major pair order: numpy draws an
+    array in the same stream, and so to the same counts, as one draw
+    per pair.  With odd batch size n each circuit is in n-1 tests; n-1
+    is even, so a circuit with exactly (n-1)/2 'not equal' verdicts is
+    a tie and is kept (the rule is strictly more than half).
     """
-    n = len(batch)
+    n = len(probabilities)
     if n % 2 == 0:
         raise EvenBatch(f"batch size must be odd, got {n}")
     rows, cols = _pairs(n)
     table = np.zeros((n, n), dtype=bool)
-    table[rows, cols] = tester.pair_verdicts(batch, rng)
+    table[rows, cols] = rng.binomial(repetitions, probabilities[rows, cols]) > 0
     table |= table.T
-    counts = table.sum(axis=1)
-    discarded = tuple(i for i in range(n) if counts[i] > (n - 1) // 2)
-    kept = tuple(i for i in range(n) if counts[i] <= (n - 1) // 2)
+    counts = table.sum(axis=1).tolist()
+    discarded = tuple(i for i, c in enumerate(counts) if c > (n - 1) // 2)
+    kept = tuple(i for i, c in enumerate(counts) if c <= (n - 1) // 2)
     table.setflags(write=False)
     return BatchResult(
         batch_size=n,
@@ -226,7 +278,7 @@ def winnow_batch(
         discarded=discarded,
         truth=tuple(truth) if truth is not None else None,
         pair_verdicts=table,
-        tests_run=len(rows) * tester.repetitions,
+        tests_run=len(rows) * repetitions,
     )
 
 
@@ -258,36 +310,39 @@ def simulate_production(
     pre_rate is the observed factory fault fraction, post_rate the
     faulty fraction among kept circuits.  overfull_rate measures how
     often more than half a batch was faulty, for comparison against
-    batch_failure_bound.  The run gets a fresh tester of its own; an
-    ideal circuit wider than `cap` qubits is refused before any batch.
+    batch_failure_bound.  Batch b draws its rows from its own
+    rng_from_seed(seed, b, 0) stream and its shots from
+    rng_from_seed(seed, b, 1).  An ideal circuit wider than `cap`
+    qubits is refused before any batch.
     """
     if batch_size % 2 == 0:
         raise EvenBatch(f"batch size must be odd, got {batch_size}")
     if factory.ideal.n_qubits > cap:
         raise CapExceeded(f"{factory.ideal.n_qubits} qubits exceeds dense cap {cap}")
-    tester = SwapShotTester(delta, cap)
+    repetitions = SwapShotTester(delta, cap).repetitions
+    pairs = _RowPairs(factory, cap)
+    i, j = _pairs(batch_size)
+    chunk = max(1, _CHUNK_PAIRS // max(1, len(i)))
     total = 0
     faulty_total = 0
     kept_total = 0
     faulty_kept = 0
     overfull = 0
     tests_per_batch = 0
-    for b in range(batches):
-        sample_rng = rng_from_seed(seed, b, 0)
-        test_rng = rng_from_seed(seed, b, 1)
-        circuits = []
-        truth = []
-        for _ in range(batch_size):
-            c, bad = factory.sample(sample_rng)
-            circuits.append(c)
-            truth.append(bad)
-        result = winnow_batch(circuits, tester, test_rng, truth)
-        tests_per_batch = result.tests_run
-        total += batch_size
-        faulty_total += sum(truth)
-        kept_total += len(result.kept)
-        faulty_kept += sum(truth[i] for i in result.kept)
-        overfull += sum(truth) > batch_size / 2
+    for start in range(0, batches, chunk):
+        span = range(start, min(start + chunk, batches))
+        rows = np.array([factory.sample_rows(rng_from_seed(seed, b, 0), batch_size) for b in span])
+        for b, batch, p in zip(span, rows, pairs.pair_probabilities(rows)):
+            table = np.zeros((batch_size, batch_size))
+            table[i, j] = p
+            truth = (batch > 0).tolist()
+            result = winnow_batch(table, repetitions, rng_from_seed(seed, b, 1), truth)
+            tests_per_batch = result.tests_run
+            total += batch_size
+            faulty_total += sum(truth)
+            kept_total += len(result.kept)
+            faulty_kept += sum(truth[k] for k in result.kept)
+            overfull += sum(truth) > batch_size / 2
     return ProductionSummary(
         pre_rate=faulty_total / total if total else 0.0,
         post_rate=faulty_kept / kept_total if kept_total else 0.0,

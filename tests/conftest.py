@@ -230,14 +230,19 @@ def random_one_gate_pair(n, rng, k=None, non_contiguous=False):
     return one_gate_pair(Circuit(n, gates), position, replacement), (original, replacement), k
 
 
-def load_benchmark_workloads(monkeypatch):
-    """perfbench/workloads.py, which writes the benchmark's circuit files."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def load_benchmark_module(monkeypatch, name: str):
+    """perfbench/<name>.py, loaded from its file as perfbench_<name>."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
     spec.loader.exec_module(module)
     return module
+
+
+def load_benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, which writes the benchmark's circuit files."""
+    return load_benchmark_module(monkeypatch, "workloads")
 
 
 @pytest.fixture

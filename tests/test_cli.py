@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import load_benchmark_workloads, random_general_circuit
-from qverify import cli, core, pipeline
+from qverify import cli, core
 from qverify.circuit_format import load_circuit, save_circuit
 from qverify.clifford import random_clifford_circuit
 from qverify.cli import main
@@ -305,23 +306,34 @@ class TestFaultOptions:
 
 
 class TestProductionLineCommand:
-    def test_tester_cache_holds_one_unitary_per_distinct_circuit(self, files, capsys, monkeypatch):
-        testers = []
+    def test_contractions_bounded_by_faults_not_batches(self, files, capsys, monkeypatch):
+        # Every dense build goes through core._contract: at most one sweep
+        # of the ideal's gates per fault's transfer V, plus one per V.
+        real, calls = core._contract, []
+        monkeypatch.setattr(core, "_contract", lambda *a: calls.append(1) or real(*a))
+        ideal = load_circuit(files["u"])
+        for batches in ("50", "500"):
+            calls.clear()
+            code, report = run_json(
+                capsys, "production-line", "--ideal", files["u"], "--fault-prob", "0.2",
+                "--eps", "0.5", "--batch", "5", "--batches", batches, "--seed", "3",
+            )
+            assert code == 0
+            assert report["pre_rate"] > 0
+            assert len(calls) <= report["fault_options"] * (ideal.n_gates + 1)
 
-        class RecordingTester(pipeline.SwapShotTester):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                testers.append(self)
-
-        monkeypatch.setattr(pipeline, "SwapShotTester", RecordingTester)
+    def test_one_gate_ideal_at_width_13(self, tmp_path, capsys):
+        # Every fault of a one-gate ideal sits at its one position, so no
+        # 2^13 x 2^13 unitary is needed.
+        (tmp_path / "wide.qc").write_text("QUBITS 13\nH 0\n")
+        start = time.perf_counter()
         code, report = run_json(
-            capsys, "production-line", "--ideal", files["u"], "--fault-prob", "0.2",
-            "--eps", "0.5", "--batch", "5", "--batches", "500", "--seed", "3",
+            capsys, "production-line", "--ideal", str(tmp_path / "wide.qc"),
+            "--cap", "13", "--batches", "1", "--seed", "1",
         )
         assert code == 0
-        assert report["pre_rate"] > 0
-        [tester] = testers
-        assert len(tester._unitaries) <= report["fault_options"] + 1
+        assert report["batches"] == 1
+        assert time.perf_counter() - start < 2.0
 
     def test_small_run(self, files, capsys):
         code, report = run_json(
@@ -342,6 +354,52 @@ class TestProductionLineCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # sha256 of `production-line --json` stdout on the seed-1 benchmark plan,
+    # warm-up first, then the plan's order.
+    PINNED_PLAN_REPORTS = (
+        "7fb17c302e51dbf598a67d473bf27cef823ba3cba830bb1bd6e2b6fe0cedf764",
+        "d212b989b65846cac43b6c4fb66277ca9b5f654cedd61c6b1fef269efd53c0b0",
+        "d586614fbeba14f88365dd6299eab0c5a4044c1b925d2d72cfd2cf8538243768",
+        "47c3de3bc8be83a9d0bdc22c6ca1c9ebcf3a794b8151aed852aeb353f8e3568a",
+        "453c38f268870a5f3155806e3c81917c611eb1fbff80c754788a818bff03087a",
+        "9f3dcbc4fd49f17f662e1b8cda009d188c339f9546a81a6af28239876b1d9db8",
+        "a265040403a4f2c4f8a1d3f9ed1a0be863cd7dd9b2faa4de8731ef7bd3da1534",
+        "f1626ad2ed219ec1f4fa9f6d336d8083da04300feac77f02487275cdaba53276",
+        "d3b8d9a665e638758af8c58b80a0ee2329bc54ae32dd4dd77072d470badc3c26",
+        "4a144c0fcedec6a401b5f31f30cb2a3fde7006e8cc250969680f8551a84a8fc1",
+        "e0d95818bce3c305fb544acdfc1d7039c1076f4d39f3d5881d207b70acde8253",
+        "a44f5045fd7110ec32fc92d14f9ef4ade8055a5b9876f346119eb414e52b55b9",
+        "259dfdc446a6775137d8596962bf0b4d311e6cd459f67650da43029591bb0915",
+    )
+
+    def test_seeded_plan_report_bytes_pinned(self, tmp_path, capsys, monkeypatch):
+        workloads = load_benchmark_workloads(monkeypatch)
+        plan = workloads.make_plan("production-line", 1, tmp_path)
+        digests = []
+        for request in (plan.warmup, *plan.requests):
+            code, out = run_cli(capsys, *request.argv)
+            assert code == 0
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(digests) == self.PINNED_PLAN_REPORTS
+
+    def test_seeded_custom_ideal_report_bytes_pinned(self, tmp_path, capsys):
+        # Seven alternatives share each named one-qubit position, the CNOT
+        # has one, and the CUSTOM gate sits in every prefix past position 1.
+        qft2 = 0.5 * np.array([[1, 1, 1, 1], [1, 1j, -1, -1j], [1, -1, 1, -1], [1, -1j, -1, 1j]])
+        ideal = Circuit(3, (
+            gate("H", 0), custom_gate(qft2, 2, 0), gate("CNOT", 0, 1),
+            gate("T", 2), gate("S", 1), gate("H", 2),
+        ))
+        save_circuit(ideal, tmp_path / "ideal.qc")
+        code, out = run_cli(
+            capsys, "production-line", "--ideal", str(tmp_path / "ideal.qc"), "--fault-prob", "0.3",
+            "--eps", "0.3", "--batch", "7", "--batches", "300", "--delta", "1e-3", "--seed", "5", "--json",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "509f9d497a9e3e8c13b67040a9f567468f1a0b61e80d4ecdd4b22aef6a3f3494"
+        )
 
     def test_subnormal_delta(self, files, capsys):
         # 1 / 1e-320 overflows to inf; the repetition count must not.

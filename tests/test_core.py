@@ -22,6 +22,7 @@ from qverify.core import (
     circuit_unitary,
     custom_gate,
     gate,
+    one_gate_transfers,
 )
 from qverify.errors import (
     CapExceeded,
@@ -62,6 +63,25 @@ class TestCircuitUnitary:
         # configurable
         with pytest.raises(CapExceeded):
             circuit_unitary(Circuit(5, ()), cap=4)
+
+
+class TestOneGateTransfers:
+    def test_ideal_times_transfer_is_replaced_circuit(self, rng):
+        for _ in range(10):
+            c = random_general_circuit(3, 12, rng, custom_prob=0.3)
+            replacements = [
+                (int(pos), custom_gate(haar_unitary(2 ** c.gates[pos].n_targets, rng), *c.gates[pos].targets))
+                for pos in rng.integers(0, c.n_gates, 5)
+            ]
+            u = circuit_unitary(c).matrix
+            for (pos, g), v in zip(replacements, one_gate_transfers(c, replacements)):
+                replaced = Circuit(3, c.gates[:pos] + (g,) + c.gates[pos + 1 :])
+                assert np.max(np.abs(u @ v - circuit_unitary(replaced).matrix)) < 1e-12
+
+    def test_cap_enforced(self):
+        c = Circuit(5, (gate("H", 0),))
+        with pytest.raises(CapExceeded):
+            one_gate_transfers(c, [(0, gate("X", 0))], cap=4)
 
 
 def embed_gate(g: Gate, n: int) -> np.ndarray:

@@ -8,6 +8,8 @@
   2^n unitaries: overlap, D, Dmax and the three protocols' shot
   probabilities; and, on one-gate pairs of up to 64 qubits, against
   the transfer values of the two gate matrices.
+* The production line's pair table (read off the factory's rows)
+  against the full 2^n unitaries of every pair of its circuits.
 """
 
 import math
@@ -15,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import qverify.core as core
@@ -31,7 +33,9 @@ from conftest import (
 from hull_oracle import hull_worst_distance
 from qverify.circuit_format import load_circuit
 from qverify.core import Circuit, Gate, GateKind, UnitaryMatrix, circuit_unitary, custom_gate, gate, window
+from qverify.errors import DomainError
 from qverify.metrics import detection_probabilities, one_gate_pair, worst_distance
+from qverify.pipeline import FactoryModel, _RowPairs
 from qverify.protocols import (
     ALL_CAPABILITIES,
     BlackBoxUnitary,
@@ -294,3 +298,42 @@ class TestOneGatePairsAtAnyWidth:
         assert swap == pytest.approx(gates.p_swap, abs=1e-12)
         assert conditional == pytest.approx(gates.p_conditional, abs=1e-12)
         assert inverse == pytest.approx(1 - gates.ent_fidelity, abs=1e-12)
+
+
+@st.composite
+def factories(draw, max_n: int = 4) -> FactoryModel:
+    """A factory on a random ideal of named and CUSTOM gates.
+
+    Each position gets up to three replacements on its targets, named
+    or CUSTOM, so faults share positions as well as sit apart.
+    """
+    ideal = draw(circuits(max_n=max_n).filter(lambda c: c.n_gates > 0))
+    replacements = []
+    for pos, g in enumerate(ideal.gates):
+        for _ in range(draw(st.integers(0, 3))):
+            if g.n_targets == 1 and draw(st.booleans()):
+                alt = Gate(draw(st.sampled_from(ONE_QUBIT_KINDS)), g.targets)
+            else:
+                seed = draw(st.integers(0, 2**32 - 1))
+                alt = custom_gate(haar_unitary(2**g.n_targets, np.random.default_rng(seed)), *g.targets)
+            replacements.append((pos, alt))
+    try:
+        return FactoryModel(ideal, 0.1, replacements, eps=1e-6)
+    except DomainError:  # no replacement differs from its gate
+        assume(False)
+
+
+class TestPairTableOracle:
+    @given(factories())
+    def test_every_pair_matches_full_unitaries(self, factory):
+        circuits_by_row = (factory.ideal, *factory.faults)
+        unitaries = [circuit_unitary(c).matrix for c in circuits_by_row]
+        batch = list(range(len(circuits_by_row))) * 2  # every pair of rows, and every row with itself
+        [got] = _RowPairs(factory, cap=core.DEFAULT_QUBIT_CAP).pair_probabilities(np.array([batch]))
+        i, j = np.triu_indices(len(batch), 1)
+        for a, b, p in zip(np.array(batch)[i], np.array(batch)[j], got):
+            if a == b:
+                assert p == 0.0
+                continue
+            overlap = np.vdot(unitaries[a], unitaries[b]) / len(unitaries[a])
+            assert abs(p - (0.5 - 0.5 * abs(overlap) ** 2)) <= 1e-12

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import qverify.core as core
 import qverify.pipeline as pipeline
-from conftest import random_general_circuit
+from conftest import haar_unitary, random_general_circuit
 from qverify.core import Circuit, UnitaryMatrix, custom_gate, gate
 from qverify.errors import CapExceeded, DomainError, EvenBatch
 from qverify.metrics import one_gate_pair, worst_distance
@@ -86,29 +87,25 @@ class TestBatchFailureBound:
         assert overfull <= batch_failure_bound(f, n)
 
 
-class _FixedShot(SwapShotTester):
-    """Every pair's swap shot fires with fixed probability p."""
-
-    def __init__(self, p, delta):
-        super().__init__(delta)
-        self.p = p
-
-    def shot_probability(self, a, b):
-        return self.p
+def _fixed_table(n, p):
+    """A batch of n circuits whose every pair fires one swap shot with probability p."""
+    return np.full((n, n), p)
 
 
-# 448 circuits make 100,128 pairs, each an independent draw of r shots.
-MANY = 448
+# 449 circuits make 100,576 pairs, each an independent draw of r shots.
+MANY = 449
 
 
 class TestRepeatedShots:
     def test_equal_pair_never_fires(self, rng):
-        t = _FixedShot(0.0, delta=1e-3)
-        assert not any(t.pair_verdicts([IDEAL, DISTINCT_FAULTS[0]], rng)[0] for _ in range(1000))
+        r = SwapShotTester(delta=1e-3).repetitions
+        for _ in range(1000):
+            assert not winnow_batch(_fixed_table(3, 0.0), r, rng).pair_verdicts.any()
 
     def test_one_sided_detection_floor_one_third(self, rng):
-        t = _FixedShot(1 / 3, delta=1e-4)
-        verdicts = t.pair_verdicts([IDEAL] * MANY, rng)
+        r = SwapShotTester(delta=1e-4).repetitions
+        table = winnow_batch(_fixed_table(MANY, 1 / 3), r, rng).pair_verdicts
+        verdicts = table[np.triu_indices(MANY, 1)]
         assert len(verdicts) >= 10**5
         assert np.mean(~verdicts) <= 1e-4
 
@@ -129,6 +126,14 @@ class TestRepeatedShots:
             SwapShotTester(delta=1.0)
 
 
+def _row_pairs(factory, cap=12):
+    return pipeline._RowPairs(factory, cap)
+
+
+def _row_circuit(factory, row):
+    return factory.ideal if row == 0 else factory.faults[row - 1]
+
+
 class TestSwapShotTester:
     def test_equal_circuits_never_fire(self, rng):
         # Rounding leaves 0.5 - 0.5 |v|^2 at ~1e-15 on equal pairs; the
@@ -142,98 +147,110 @@ class TestSwapShotTester:
             assert tester.shot_probability(c, c) == 0.0
             assert tester.shot_probability(c, padded) == 0.0
 
-
     def test_pair_probabilities_match_shot_probability(self, rng):
-        pool = [random_general_circuit(2, 6, rng, custom_prob=0.5) for _ in range(4)]
-        tester, reference = SwapShotTester(1e-3), SwapShotTester(1e-3)
+        # A run's pairs, read off the factory's rows, against the two
+        # circuits compared on their window.
+        ideal = random_general_circuit(3, 8, rng, custom_prob=0.5)
+        replacements = [
+            (pos, custom_gate(haar_unitary(2**g.n_targets, rng), *g.targets))
+            for pos, g in enumerate(ideal.gates)
+            for _ in range(2)
+        ]
+        factory = FactoryModel(ideal, 0.1, replacements, eps=1e-3)
+        tester, pairs = SwapShotTester(1e-3), _row_pairs(factory)
         for _ in range(20):
-            batch = [pool[k] for k in rng.integers(0, len(pool), 7)]
-            expected = [
-                reference.shot_probability(batch[i], batch[j])
-                for i in range(7)
-                for j in range(i + 1, 7)
-            ]
-            assert tester.pair_probabilities(batch).tolist() == expected
+            rows = rng.integers(0, len(factory.faults) + 1, (3, 7))
+            got = pairs.pair_probabilities(rows)
+            for batch, probabilities in zip(rows, got):
+                expected = [
+                    tester.shot_probability(_row_circuit(factory, batch[i]), _row_circuit(factory, batch[j]))
+                    for i in range(7)
+                    for j in range(i + 1, 7)
+                ]
+                assert probabilities == pytest.approx(expected, abs=1e-12)
 
 
-class _CountingSwapShotTester(SwapShotTester):
+def _per_pair_verdicts(probabilities, repetitions, rng):
+    """Reference: one scalar binomial draw per pair, pair by pair."""
+    n = len(probabilities)
+    return np.array(
+        [rng.binomial(repetitions, probabilities[i, j]) > 0 for i in range(n) for j in range(i + 1, n)],
+        dtype=bool,
+    )
+
+
+class _CountingContract:
+    """Stands in for core._contract and counts its calls."""
+
+    _real = staticmethod(core._contract)
+
     def __init__(self):
-        super().__init__(1e-4)
         self.calls = 0
 
-    def shot_probability(self, a, b):
+    def __call__(self, *args):
         self.calls += 1
-        return super().shot_probability(a, b)
-
-
-class _PerPairSwapShotTester(SwapShotTester):
-    """Reference: one scalar binomial draw per pair, pair by pair."""
-
-    def pair_verdicts(self, batch, rng):
-        n = len(batch)
-        fires = [
-            rng.binomial(self.repetitions, self.shot_probability(batch[i], batch[j])) > 0
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        return np.array(fires, dtype=bool)
-
-
-def _fresh_line_circuit(k):
-    """Option k of the test factory as a new object: 0 is the ideal, else a fault."""
-    ideal = line_ideal()
-    return ideal if k == 0 else one_gate_pair(ideal, *LINE_FAULTS[k - 1])[1]
+        return self._real(*args)
 
 
 class TestPairTable:
-    def test_fresh_equal_circuits_share_one_unitary(self, rng, monkeypatch):
-        builds = []
-        real_build = pipeline.circuit_unitary
-        monkeypatch.setattr(
-            pipeline, "circuit_unitary", lambda c, cap: builds.append(c) or real_build(c, cap=cap)
-        )
-        tester = _CountingSwapShotTester()
-        for _ in range(300):
-            batch = [_fresh_line_circuit(k) for k in rng.integers(0, 3, 11)]
-            winnow_batch(batch, tester, rng)
-        distinct = 2 + 1  # the two fault options and the ideal circuit
-        assert len(builds) <= distinct
-        assert len(tester._unitaries) <= distinct
-        assert tester.calls <= distinct**2
+    def test_contractions_bounded_by_faults_not_batches(self, monkeypatch):
+        # Every dense build goes through core._contract: at most one sweep
+        # of the ideal's gates per new transfer V, plus one per V.  The
+        # longer run spans several chunks and builds nothing more.
+        factory = make_factory(0.3)
+        calls = []
+        for batches in (300, 3000):
+            counter = _CountingContract()
+            monkeypatch.setattr(core, "_contract", counter)
+            simulate_production(factory, 11, batches, delta=1e-4, seed=5)
+            calls.append(counter.calls)
+        faults, gates = len(factory.faults), factory.ideal.n_gates
+        assert 0 < calls[0] == calls[1] <= faults * (gates + 1)
+
+    def test_one_gate_ideal_builds_nothing_dense(self, monkeypatch):
+        # Every fault sits at the one position: each pair is a row against
+        # itself, the ideal against a fault, or two faults at one position.
+        monkeypatch.setattr(core, "_contract", lambda *a: pytest.fail("dense build"))
+        ideal = Circuit(2, (gate("CNOT", 0, 1),))
+        replacements = [(0, custom_gate(haar_unitary(4, np.random.default_rng(s)), 0, 1)) for s in range(6)]
+        factory = FactoryModel(ideal, 0.4, replacements, eps=0.1)
+        summary = simulate_production(factory, 7, 400, delta=1e-3, seed=2)
+        assert summary.pre_rate > 0.3
+        assert summary.post_rate < summary.pre_rate
 
     @pytest.mark.parametrize("delta", [0.4, 1e-4, 1e-30])
     def test_one_draw_equals_per_pair_loop(self, rng, delta):
-        pool = [random_general_circuit(2, 4, rng, custom_prob=0.5) for _ in range(5)]
-        pool += [Circuit(2, pool[0].gates)]  # equal to pool[0], built separately
-        one_draw = SwapShotTester(delta)
-        per_pair = _PerPairSwapShotTester(delta)
+        r = SwapShotTester(delta).repetitions
+        factory = make_factory(0.4)
+        pairs = _row_pairs(factory)
         for seed in range(40):
-            batch = [pool[k] for k in rng.integers(0, len(pool), int(rng.choice([1, 3, 5, 11])))]
+            n = int(rng.choice([1, 3, 5, 11]))
+            [p] = pairs.pair_probabilities(rng.integers(0, 3, (1, n)))
+            table = np.zeros((n, n))
+            table[np.triu_indices(n, 1)] = p
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            a = winnow_batch(batch, one_draw, rng_a)
-            b = winnow_batch(batch, per_pair, rng_b)
-            assert np.array_equal(a.pair_verdicts, b.pair_verdicts)
-            assert (a.kept, a.tests_run) == (b.kept, b.tests_run)
+            a = winnow_batch(table, r, rng_a)
+            reference = _per_pair_verdicts(table, r, rng_b)
+            assert np.array_equal(a.pair_verdicts[np.triu_indices(n, 1)], reference)
+            losses = np.zeros(n, dtype=int)
+            np.add.at(losses, np.concatenate(np.triu_indices(n, 1)), np.tile(reference, 2))
+            assert a.kept == tuple(k for k in range(n) if losses[k] <= (n - 1) // 2)
+            assert a.tests_run == len(reference) * r
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-class _OracleTester:
-    """Error-free pairwise tester: fires exactly when circuits differ."""
-
-    repetitions = 1
-
-    def pair_verdicts(self, batch, rng):
-        n = len(batch)
-        return np.array([batch[i] != batch[j] for i in range(n) for j in range(i + 1, n)], bool)
+def _oracle_table(batch):
+    """Error-free pairwise tester: one shot, fired exactly when circuits differ."""
+    return np.array([[float(a != b) for b in batch] for a in batch])
 
 
 class TestWinnowBatch:
     def test_even_batch_rejected(self, rng):
         with pytest.raises(EvenBatch):
-            winnow_batch([IDEAL] * 4, _OracleTester(), rng)
+            winnow_batch(_oracle_table([IDEAL] * 4), 1, rng)
 
     def test_all_perfect_batch_keeps_everything(self, rng):
-        result = winnow_batch([IDEAL] * 11, _OracleTester(), rng)
+        result = winnow_batch(_oracle_table([IDEAL] * 11), 1, rng)
         assert result.discarded == ()
         assert result.kept == tuple(range(11))
         assert result.tests_run == 55
@@ -241,7 +258,7 @@ class TestWinnowBatch:
     def test_single_fault_removed(self, rng):
         batch = [IDEAL] * 11
         batch[4] = DISTINCT_FAULTS[0]
-        result = winnow_batch(batch, _OracleTester(), rng, truth=[i == 4 for i in range(11)])
+        result = winnow_batch(_oracle_table(batch), 1, rng, truth=[i == 4 for i in range(11)])
         assert result.discarded == (4,)
         assert result.truth[4] is True
 
@@ -249,7 +266,7 @@ class TestWinnowBatch:
         # 6 identical faults in a batch of 11: the conditioning event
         # fails and all good circuits are thrown away instead.
         batch = [DISTINCT_FAULTS[0]] * 6 + [IDEAL] * 5
-        result = winnow_batch(batch, _OracleTester(), rng)
+        result = winnow_batch(_oracle_table(batch), 1, rng)
         assert result.discarded == (6, 7, 8, 9, 10)
         assert result.kept == (0, 1, 2, 3, 4, 5)
 
@@ -262,18 +279,18 @@ class TestWinnowBatch:
                 continue
             fault_iter = iter(DISTINCT_FAULTS)
             batch = [next(fault_iter) if f else IDEAL for f in flags]
-            result = winnow_batch(batch, _OracleTester(), rng, truth=flags)
+            result = winnow_batch(_oracle_table(batch), 1, rng, truth=flags)
             assert set(result.discarded) == {i for i, f in enumerate(flags) if f}
 
     def test_pair_table_symmetric(self, rng):
         batch = [IDEAL] * 4 + [DISTINCT_FAULTS[0]]
-        result = winnow_batch(batch, _OracleTester(), rng)
+        result = winnow_batch(_oracle_table(batch), 1, rng)
         assert np.array_equal(result.pair_verdicts, result.pair_verdicts.T)
         assert not result.pair_verdicts.diagonal().any()
 
     def test_tests_run_counts_majority_repetitions(self, rng):
         t = SwapShotTester(delta=0.1)
-        result = winnow_batch([IDEAL] * 5, t, rng)
+        result = winnow_batch(_oracle_table([IDEAL] * 5), t.repetitions, rng)
         assert result.tests_run == 10 * t.repetitions
 
 
@@ -310,8 +327,9 @@ class TestFactoryModel:
 
     def test_sample_rates(self, rng):
         factory = make_factory(0.25)
-        flags = [factory.sample(rng)[1] for _ in range(2000)]
-        assert abs(np.mean(flags) - 0.25) < 0.05
+        rows = factory.sample_rows(rng, 2000)
+        assert abs(np.mean([row > 0 for row in rows]) - 0.25) < 0.05
+        assert set(rows) == {0, 1, 2}
 
     def test_fault_prob_domain(self):
         with pytest.raises(DomainError):

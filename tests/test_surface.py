@@ -1,10 +1,12 @@
 """The library surface: every exported name has a caller outside the tests."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
 import qverify
+from conftest import load_benchmark_module
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,3 +42,13 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert sorted(public - referenced_names()) == []
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # The benchmark's tracer patches these by name; a rename in src/
+    # would crash a traced run.
+    tracing = load_benchmark_module(monkeypatch, "tracing")
+    for module, attr, _ in tracing.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"qverify.{module}"), attr, None)), (module, attr)
+    for cls, attr, _ in tracing.METHODS:
+        assert attr in cls.__dict__, (cls.__name__, attr)

@@ -66,8 +66,9 @@ def _protocol_report(outcome) -> dict:
 
 def _cmd_distance(args: argparse.Namespace) -> tuple[int, dict]:
     u = load_circuit(args.u)
-    report = detection_probabilities(*window(u, load_circuit(args.ut), cap=args.cap))
-    lhs, rhs, holds = theorem1(report, u.n_qubits)
+    x, y = window(u, load_circuit(args.ut), cap=args.cap)
+    report = detection_probabilities(x, y)
+    lhs, rhs, holds = theorem1(report, x.n_qubits)
     # metrics snaps D below 1e-12 to exactly 0, and equal pairs land there.
     verdict = "equal" if report.avg_distance == 0.0 else "different"
     out = _base_report(args)
@@ -80,7 +81,7 @@ def _cmd_distance(args: argparse.Namespace) -> tuple[int, dict]:
             "ent_fidelity": report.ent_fidelity,
             "p_swap": report.p_swap,
             "p_conditional": report.p_conditional,
-            "theorem1": {"lhs": lhs, "rhs": rhs, "holds": holds},
+            "theorem1": {"lhs": lhs, "rhs": rhs, "holds": holds, "qubits": x.n_qubits},
             "verdict": verdict,
         }
     )
@@ -231,7 +232,7 @@ def _cmd_fidelity_bound(args: argparse.Namespace) -> tuple[int, dict]:
                 continue
             pairs += 1
             max_fidelity = max(max_fidelity, entanglement_fidelity_clifford(a, b))
-    holds = max_fidelity <= 0.5 + 1e-12
+    holds = max_fidelity <= 0.5  # 0.0 or a power of two: exact
     out = _base_report(args)
     out.update(
         {

@@ -25,7 +25,8 @@ Conventions used throughout the package:
 A size limit sits only where a 2^n object is built: ``circuit_unitary``
 and ``one_gate_transfers`` refuse more than ``cap`` qubits (default
 ``DEFAULT_QUBIT_CAP``), so ``window`` bounds the width of the window,
-not of the circuits.
+not of the circuits.  A width under the cap whose 2^n x 2^n array numpy
+cannot even index raises MemoryError, as an allocation too large would.
 Everything here is immutable after construction and safe to use from
 concurrent workers.
 """
@@ -88,11 +89,6 @@ for _m in FIXED_GATE_MATRICES.values():
 _GATE_ARITY = {k: 1 for k in GateKind}
 _GATE_ARITY[GateKind.CNOT] = 2
 
-# Hashes are built from numbers only, so they do not depend on the
-# process's string-hash seed: a circuit's cached hash stays valid when
-# it is pickled to another process.
-_KIND_CODE = {k: i for i, k in enumerate(GateKind)}
-
 
 def _check_unitary(m: np.ndarray, tol: float) -> None:
     d = m.shape[0]
@@ -130,7 +126,7 @@ class Gate:
         # Python floats hash -0.0 like 0.0, as np.array_equal compares
         # them; the raw bytes would not.
         entries = tuple(self.matrix.ravel().tolist()) if self.kind is GateKind.CUSTOM else ()
-        return hash((_KIND_CODE[self.kind], self.targets, entries))
+        return hash((self.kind, self.targets, entries))
 
     def __post_init__(self):
         object.__setattr__(self, "kind", GateKind(self.kind))
@@ -198,15 +194,6 @@ class Circuit:
                         f"target {t} outside circuit of {self.n_qubits} qubits"
                     )
 
-    def __hash__(self):
-        # Computed once per object: a circuit may key many table lookups.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.n_qubits, self.gates))
-            object.__setattr__(self, "_hash", h)
-            return h
-
     @property
     def n_gates(self) -> int:
         return len(self.gates)
@@ -250,6 +237,16 @@ def _contract(arr: np.ndarray, matrix: np.ndarray, targets) -> np.ndarray:
     return np.moveaxis(out, list(range(k)), list(targets))
 
 
+def _identity_tensor(n: int, cap: int) -> np.ndarray:
+    """The 2^n x 2^n identity as a [2] * n + [2^n] tensor, for n <= `cap`."""
+    if n > cap:
+        raise CapExceeded(f"{n} qubits exceeds dense cap {cap}")
+    try:
+        return np.eye(2**n, dtype=complex).reshape([2] * n + [2**n])
+    except ValueError as exc:  # numpy refuses a size it cannot index, before allocating
+        raise MemoryError(f"a {n}-qubit unitary: {exc}") from None
+
+
 def circuit_unitary(c: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> UnitaryMatrix:
     """Product of the gate unitaries in application order.
 
@@ -257,13 +254,10 @@ def circuit_unitary(c: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> UnitaryMatrix:
     never embedded as a full matrix.  Every gate was checked when it was
     built, so unitarity is checked once, on the finished product.
     """
-    if c.n_qubits > cap:
-        raise CapExceeded(f"{c.n_qubits} qubits exceeds dense cap {cap}")
-    n = c.n_qubits
-    dim = 2**n
-    arr = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
+    arr = _identity_tensor(c.n_qubits, cap)
     for g in c.gates:
         arr = _contract(arr, g.unitary(), g.targets)
+    dim = 2**c.n_qubits
     return UnitaryMatrix(arr.reshape(dim, dim), tol=DERIVED_TOL)
 
 
@@ -278,11 +272,8 @@ def one_gate_transfers(
     replacement are never needed.  One sweep over the gates holds one
     live prefix; each V then costs one contraction and one matmul.
     """
-    if c.n_qubits > cap:
-        raise CapExceeded(f"{c.n_qubits} qubits exceeds dense cap {cap}")
-    n = c.n_qubits
-    dim = 2**n
-    prefix = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
+    prefix = _identity_tensor(c.n_qubits, cap)
+    dim = 2**c.n_qubits
     swept = 0
     out: list = [None] * len(replacements)
     order = sorted(range(len(replacements)), key=lambda r: replacements[r][0])

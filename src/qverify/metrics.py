@@ -20,9 +20,11 @@ its overlap per dimension, so it may be given the window unitaries X
 and Y of two circuits (`core.window`) in place of the full ones: W is
 A^dag (X^dag Y (x) I) A there, with the same eigenphases, the same
 Tr(W) / 2^n = Tr(X^dag Y) / 2^m and the same phase-aligned residual
-per dimension.  Only theorem 1's bound needs the full width n.  The
-matrices arrive built under `circuit_unitary`'s width cap, so nothing
-here takes a cap of its own, bar the two example builders.
+per dimension.  Theorem 1's bound holds at m too: X and Y are m-qubit
+unitaries with the same D and Dmax, and 2^((m+1)/2) is the tighter
+factor.  The matrices arrive built under `circuit_unitary`'s width
+cap, so nothing here takes a cap of its own, bar the two example
+builders.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ def _clamp01(v: float) -> float:
     if v > 1.0 - 1e-12:
         return 1.0
     return v
+
+
+def _swap_shot(overlap: complex) -> float:
+    """A swap-test shot's firing probability, 1/2 - |v|^2 / 2, at overlap v = Tr(U^dag V) / 2^n."""
+    return _clamp01(0.5 - 0.5 * abs(overlap) ** 2)
 
 
 def _check_same_dim(u: UnitaryMatrix, ut: UnitaryMatrix) -> None:
@@ -126,22 +133,29 @@ def detection_probabilities(u: UnitaryMatrix, ut: UnitaryMatrix) -> DistanceRepo
 
 
 def theorem1(report: DistanceReport, n_qubits: int) -> tuple[float, float, bool]:
-    """Dmax <= 2^((n+1)/2) * D on an n-qubit report; returns (lhs, rhs, holds).
+    """Dmax <= 2^((n+1)/2) * D on a report of two n-qubit unitaries; returns (lhs, rhs, holds).
 
-    From n = 2047 the factor passes the float range: rhs is then inf
-    when D > 0 and 0.0 when D = 0.
+    Give it the width of the unitaries the report was computed on: for
+    a window (`core.window`) that is its m, which gives the tighter bound.
     """
-    d = report.avg_distance
-    try:
-        rhs = 2.0 ** ((n_qubits + 1) / 2.0) * d
-    except OverflowError:
-        rhs = math.inf if d else 0.0
+    rhs = 2.0 ** ((n_qubits + 1) / 2.0) * report.avg_distance
     return report.worst_distance, rhs, report.worst_distance <= rhs + 1e-9
 
 
 def verify_theorem1(u: UnitaryMatrix, ut: UnitaryMatrix) -> tuple[float, float, bool]:
     """Check Dmax <= 2^((n+1)/2) * D; returns (lhs, rhs, holds)."""
     return theorem1(detection_probabilities(u, ut), u.n_qubits)
+
+
+def _check_site(base: Circuit, position: int, replacement: Gate) -> None:
+    """Refuse a replacement off `base`'s gate list or on other targets than its gate's."""
+    if not 0 <= position < base.n_gates:
+        raise IndexOutOfRange(f"gate position {position} outside 0..{base.n_gates - 1}")
+    original = base.gates[position]
+    if replacement.targets != original.targets:
+        raise TargetMismatch(
+            f"replacement targets {replacement.targets} differ from {original.targets}"
+        )
 
 
 def one_gate_pair(base: Circuit, position: int, replacement: Gate) -> tuple[Circuit, Circuit]:
@@ -152,13 +166,7 @@ def one_gate_pair(base: Circuit, position: int, replacement: Gate) -> tuple[Circ
     Ut = U1 (Gt x I) U2 and hence the transfer identities
     D(U, Ut) = D(G, Gt) and Dmax(U, Ut) = Dmax(G, Gt).
     """
-    if not 0 <= position < base.n_gates:
-        raise IndexOutOfRange(f"gate position {position} outside 0..{base.n_gates - 1}")
-    original = base.gates[position]
-    if replacement.targets != original.targets:
-        raise TargetMismatch(
-            f"replacement targets {replacement.targets} differ from {original.targets}"
-        )
+    _check_site(base, position, replacement)
     modified = list(base.gates)
     modified[position] = replacement
     return base, Circuit(base.n_qubits, tuple(modified))

@@ -8,11 +8,12 @@ long as fewer than half the batch is faulty - which fails with
 probability at most exp(-KL(1/2 || f) * n) - an error-free pairwise
 tester removes exactly the faulty circuits.
 
-A run works on the factory's rows, not on circuits: row 0 is the ideal
-and row f + 1 is the ideal with fault f's gate in place.  Batches are
-drawn as rows a chunk at a time, and only the pairs of rows that meet
-in a chunk get a swap-shot probability, each from the smallest object
-that carries it:
+A fault is named by its site alone, the (position, gate) pair of its
+one replaced gate, and no faulty circuit is built.  A run works on the
+factory's rows: row 0 is the ideal and row f + 1 is the ideal with
+fault f's gate in place.  Batches are drawn as rows a chunk at a time,
+and only the pairs of rows that meet in a chunk get a swap-shot
+probability, each from the smallest object that carries it:
 
 * a row against itself: exactly 0;
 * the ideal against a fault, or two faults at one position: the two
@@ -39,7 +40,7 @@ import numpy as np
 
 from .core import DEFAULT_QUBIT_CAP, Circuit, Gate, UnitaryMatrix, one_gate_transfers, window
 from .errors import CapExceeded, DomainError, EvenBatch
-from .metrics import _clamp01, one_gate_pair, trace_overlap, worst_distance
+from .metrics import _check_site, _swap_shot, trace_overlap, worst_distance
 from .seeding import rng_from_seed
 
 
@@ -87,11 +88,6 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _shot_probability(overlap: complex) -> float:
-    """One swap shot's firing probability at trace overlap Tr(U^dag V) / 2^n."""
-    return _clamp01(0.5 - 0.5 * abs(overlap) ** 2)
-
-
 class SwapShotTester:
     """One-sided pairwise tester: r = ceil(18 ln(1/delta)) swap-test shots.
 
@@ -110,28 +106,27 @@ class SwapShotTester:
         self._cap = cap
 
     def shot_probability(self, a: Circuit, b: Circuit) -> float:
-        return _shot_probability(trace_overlap(*window(a, b, cap=self._cap)))
+        return _swap_shot(trace_overlap(*window(a, b, cap=self._cap)))
 
 
 @dataclass(frozen=True)
 class FactoryModel:
     """Source of circuits: the ideal one w.p. 1-f, else a uniform fault.
 
-    `replacements` lists candidate faults as (position, gate) pairs.
+    `replacements` lists candidate faults as (position, gate) sites.
     By the transfer identity Dmax(U, Ut) = Dmax(G, Gt) (the one-gate
     case of `core.window`), each is screened on the two gate matrices,
-    once per distinct pair of matrices, and those at distance >= eps
-    become `faults`, with their (position, gate) in `fault_sites`; no
-    circuit unitary is built.  The model never changes, so runs may
-    share it.
+    once per distinct pair of matrices, and the sites at distance >= eps
+    become `faults`.  No faulty circuit and no circuit unitary is built,
+    so the screen is linear in the number of replacements.  The model
+    never changes, so runs may share it.
     """
 
     ideal: Circuit
     fault_prob: float
     replacements: Sequence[tuple[int, Gate]]
     eps: float
-    faults: tuple[Circuit, ...] = field(init=False, repr=False, compare=False)
-    fault_sites: tuple[tuple[int, Gate], ...] = field(init=False, repr=False, compare=False)
+    faults: tuple[tuple[int, Gate], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.fault_prob < 0.5:
@@ -148,25 +143,23 @@ class FactoryModel:
                 matrices[k] = UnitaryMatrix(m)
             return k
 
-        faults, sites = [], []
+        faults = []
         for pos, g in self.replacements:
-            faulty = one_gate_pair(self.ideal, pos, g)[1]  # checks position and targets
+            _check_site(self.ideal, pos, g)
             pair = (key(self.ideal.gates[pos]), key(g))
             if pair not in reaches:
                 distance = worst_distance(matrices[pair[0]], matrices[pair[1]])
                 reaches[pair] = distance >= self.eps - 1e-9
             if reaches[pair]:
-                faults.append(faulty)
-                sites.append((pos, g))
+                faults.append((pos, g))
         if not faults:
             raise DomainError(
                 f"no single-gate replacement of the ideal circuit reaches eps={self.eps}"
             )
         object.__setattr__(self, "faults", tuple(faults))
-        object.__setattr__(self, "fault_sites", tuple(sites))
 
     def sample_rows(self, rng: np.random.Generator, count: int) -> list[int]:
-        """`count` circuits off the line, as rows: 0 for the ideal, f + 1 for faults[f].
+        """`count` circuits off the line, as rows: 0 for the ideal, f + 1 for fault f.
 
         Each circuit draws rng.random(), then rng.integers for a fault.
         """
@@ -184,7 +177,7 @@ class _RowPairs:
 
     def __init__(self, factory: FactoryModel, cap: int):
         self._ideal = factory.ideal
-        self._sites = factory.fault_sites
+        self._sites = factory.faults
         self._cap = cap
         self._against_ideal = np.full(len(self._sites) + 1, np.nan)  # by row, nan until met
         self._transfers: dict[int, np.ndarray] = {}  # V by fault
@@ -227,9 +220,9 @@ class _RowPairs:
             pos_a, gate_a = self._sites[a - 1]
             if pos_a != pos:
                 va, vb = self._transfers[a - 1], self._transfers[b - 1]
-                return _shot_probability(complex(np.vdot(va, vb)) / va.shape[0])
+                return _swap_shot(complex(np.vdot(va, vb)) / va.shape[0])
         ma, mb = gate_a.unitary(), gate_b.unitary()
-        return _shot_probability(complex(np.vdot(ma, mb)) / ma.shape[0])
+        return _swap_shot(complex(np.vdot(ma, mb)) / ma.shape[0])
 
 
 @dataclass(frozen=True)

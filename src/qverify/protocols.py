@@ -23,7 +23,7 @@ from typing import Callable
 
 from .core import DEFAULT_QUBIT_CAP, Circuit, UnitaryMatrix, window
 from .errors import CapabilityMissing
-from .metrics import _clamp01, trace_overlap
+from .metrics import _clamp01, _swap_shot, trace_overlap
 from .seeding import rng_from_seed
 
 CAP_PLAIN = "plain"
@@ -120,8 +120,7 @@ def run_swap_test(
 
     Phase-blind: Ut = e^(i theta) U gives p = 0.
     """
-    v = trace_overlap(*ut._window(CAP_PLAIN, u, cap))
-    p = _clamp01(0.5 - 0.5 * abs(v) ** 2)
+    p = _swap_shot(trace_overlap(*ut._window(CAP_PLAIN, u, cap)))
     return _outcome("swap", shots, p, seed)
 
 

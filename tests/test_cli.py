@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,33 @@ class TestDistanceCommand:
         assert report["worst_distance"] <= 1e-12
         assert report["theorem1"]["holds"] is True
 
+    # sha256 of `distance --json` on the seed-1 dense-mix plan's distance
+    # requests (warm-up first, then the plan's order), re-encoded as the CLI
+    # does without the `theorem1` object: every other value is pinned.
+    PINNED_PLAN_REPORTS = (
+        "71f0280a7aee06cc17e19f42474ac20931eb20598f27f4c22d8ef0eb3e133115",
+        "923682488e9980770f8132a34ccbc1940b5bc754475856f808ad0e323c0bb79d",
+        "673085e8b1cdc7a5b4458dfff680d31777a4dac826af46d3168078193bf5639a",
+        "b28a6e6206eac62f05e9c903ceda2b1695b7c82d01867153a775ceb1b28409a7",
+        "79bb78d4fdb231101f6f9e6ab390e2a1c08e819d38dd68e15d273365dd072aef",
+        "aa6d533e9d427c9d93614a52a32b2129a514d7df36f87502845df488ea271235",
+        "54c55dbfbb2828fe19a41197db4033108abd66e98fe1d267d2d052026b87ec0a",
+    )
+
+    def test_seeded_plan_reports_pinned_outside_theorem1(self, tmp_path, capsys, monkeypatch):
+        workloads = load_benchmark_workloads(monkeypatch)
+        plan = workloads.make_plan("dense-mix", 1, tmp_path)
+        digests = []
+        for request in (plan.warmup, *plan.requests):
+            if request.argv[0] != "distance":
+                continue
+            code, out = run_cli(capsys, *request.argv)
+            report = json.loads(out)
+            assert code == (0 if request.expect["equal"] else 1)
+            assert report.pop("theorem1")["holds"] is True
+            digests.append(hashlib.sha256(json.dumps(report, sort_keys=True, indent=2).encode()).hexdigest())
+        assert tuple(digests) == self.PINNED_PLAN_REPORTS
+
 
 class TestAnyWidth:
     """--cap bounds the window, so a one-gate pair runs at any width."""
@@ -129,7 +157,7 @@ class TestAnyWidth:
         save_circuit(Circuit(3000, (gate("H", 2999), gate("CNOT", 0, 2999))), path)
         code, report = run_json(capsys, "distance", "--u", str(path), "--ut", str(path))
         assert code == 0
-        assert report["theorem1"] == {"lhs": 0.0, "rhs": 0.0, "holds": True}
+        assert report["theorem1"] == {"lhs": 0.0, "rhs": 0.0, "holds": True, "qubits": 1}
         assert report["verdict"] == "equal"
 
     def test_equal_pair_above_default_cap_runs(self, tmp_path, capsys):
@@ -241,7 +269,7 @@ class TestCliffordCommands:
         code, report = run_json(capsys, "fidelity-bound", "--n", "1", "--exhaustive")
         assert code == 0
         assert report["pairs_checked"] == 552
-        assert report["max_fidelity"] == pytest.approx(0.5, abs=1e-12)
+        assert report["max_fidelity"] == 0.5
         assert report["bound_holds"] is True
 
     def test_fidelity_bound_sampled(self, capsys):
@@ -273,9 +301,10 @@ def _fault_options_by_circuit_unitary(ideal, eps):
 def _screened_faults(ideal, eps):
     """The production line's faults: the CLI's replacements, screened by the factory."""
     try:
-        return FactoryModel(ideal, 0.1, cli._replacements(ideal), eps).faults
+        factory = FactoryModel(ideal, 0.1, cli._replacements(ideal), eps)
     except DomainError:  # no replacement reaches eps
         return ()
+    return tuple(one_gate_pair(ideal, pos, g)[1] for pos, g in factory.faults)
 
 
 class TestFaultOptions:
@@ -303,6 +332,28 @@ class TestFaultOptions:
         monkeypatch.setattr(core, "_contract", lambda *a: pytest.fail("unitary built"))
         ideal = random_general_circuit(4, 12, rng)
         assert FactoryModel(ideal, 0.1, cli._replacements(ideal), 0.5).faults
+
+    def test_builds_no_circuit(self, rng, monkeypatch):
+        # A fault is its (position, gate) site, not a copy of the ideal.
+        ideal = random_general_circuit(4, 40, rng)
+        replacements = cli._replacements(ideal)
+        real, calls = Circuit.__post_init__, []
+        monkeypatch.setattr(Circuit, "__post_init__", lambda c: calls.append(1) or real(c))
+        assert FactoryModel(ideal, 0.1, replacements, 0.5).faults
+        assert calls == []
+
+    def test_memory_flat_in_ideal_length(self):
+        # A copy of the gate list per fault made this quadratic: ~6,000
+        # replacements of a 1,000-gate ideal held tens of MiB.
+        ideal = random_clifford_circuit(5, 1000, np.random.default_rng(1000))
+        replacements = cli._replacements(ideal)
+        tracemalloc.start()
+        try:
+            FactoryModel(ideal, 0.1, replacements, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestProductionLineCommand:
@@ -521,6 +572,29 @@ class TestErrorHandling:
         save_circuit(Circuit(n, ()), ut)
         assert main([command, "--u", str(u), "--ut", str(ut), "--cap", str(cap)]) == 2
         assert capsys.readouterr().err == f"error: {cap + 1} qubits exceeds dense cap {cap}\n"
+
+    @pytest.mark.parametrize("command", ["distance", "swap-test"])
+    @pytest.mark.parametrize("n", [40, 70])
+    def test_window_numpy_cannot_index_exit_two_one_line(self, tmp_path, capsys, command, n):
+        # Under a cap of 100 the 2^n x 2^n window is refused by numpy
+        # itself, before any allocation.
+        u, ut = tmp_path / "u.qc", tmp_path / "ut.qc"
+        save_circuit(Circuit(n, tuple(gate("H", q) for q in range(n))), u)
+        save_circuit(Circuit(n, tuple(gate("S", q) for q in range(n))), ut)
+        assert main([command, "--u", str(u), "--ut", str(ut), "--cap", "100"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert out == ""
+
+    def test_wide_production_line_exit_two_one_line(self, tmp_path, capsys):
+        # Faults at positions 0 and 1 meet, so their 40-qubit transfers are needed.
+        ideal = tmp_path / "ideal.qc"
+        save_circuit(Circuit(40, (gate("H", 0), gate("H", 1))), ideal)
+        argv = ["production-line", "--ideal", str(ideal), "--cap", "40", "--fault-prob", "0.4", "--batches", "5"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert out == ""
 
     @staticmethod
     def run_capped(tmp_path, command: str, qubits: int) -> subprocess.CompletedProcess:

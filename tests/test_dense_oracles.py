@@ -8,6 +8,8 @@
   2^n unitaries: overlap, D, Dmax and the three protocols' shot
   probabilities; and, on one-gate pairs of up to 64 qubits, against
   the transfer values of the two gate matrices.
+* Theorem 1 at the window's width m against the full unitaries' D and
+  Dmax.
 * The production line's pair table (read off the factory's rows)
   against the full 2^n unitaries of every pair of its circuits.
 """
@@ -34,7 +36,7 @@ from hull_oracle import hull_worst_distance
 from qverify.circuit_format import load_circuit
 from qverify.core import Circuit, Gate, GateKind, UnitaryMatrix, circuit_unitary, custom_gate, gate, window
 from qverify.errors import DomainError
-from qverify.metrics import detection_probabilities, one_gate_pair, worst_distance
+from qverify.metrics import detection_probabilities, one_gate_pair, theorem1, worst_distance
 from qverify.pipeline import FactoryModel, _RowPairs
 from qverify.protocols import (
     ALL_CAPABILITIES,
@@ -243,6 +245,17 @@ class TestWindowOracle:
         relabelled = Circuit(2, (Gate(GateKind.CUSTOM, (1, 0), _CUSTOM.matrix),))
         assert np.array_equal(x.matrix, circuit_unitary(relabelled).matrix)
 
+    @given(window_pairs())
+    def test_theorem1_holds_at_window_width(self, pair):
+        # X and Y are m-qubit unitaries, so 2^((m+1)/2) bounds Dmax / D
+        # of the full circuits too.
+        a, b, _ = pair
+        x, y = window(a, b)
+        m = x.n_qubits
+        assert theorem1(detection_probabilities(x, y), m)[2]
+        full = detection_probabilities(circuit_unitary(a), circuit_unitary(b))
+        assert full.worst_distance <= 2.0 ** ((m + 1) / 2.0) * full.avg_distance + 1e-9
+
     def test_benchmark_dense_pairs_match_full_unitaries(self, tmp_path, monkeypatch):
         workloads = load_benchmark_workloads(monkeypatch)
         pairs = 0
@@ -326,7 +339,8 @@ def factories(draw, max_n: int = 4) -> FactoryModel:
 class TestPairTableOracle:
     @given(factories())
     def test_every_pair_matches_full_unitaries(self, factory):
-        circuits_by_row = (factory.ideal, *factory.faults)
+        faulty = (one_gate_pair(factory.ideal, pos, g)[1] for pos, g in factory.faults)
+        circuits_by_row = (factory.ideal, *faulty)
         unitaries = [circuit_unitary(c).matrix for c in circuits_by_row]
         batch = list(range(len(circuits_by_row))) * 2  # every pair of rows, and every row with itself
         [got] = _RowPairs(factory, cap=core.DEFAULT_QUBIT_CAP).pair_probabilities(np.array([batch]))

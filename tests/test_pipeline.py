@@ -130,8 +130,13 @@ def _row_pairs(factory, cap=12):
     return pipeline._RowPairs(factory, cap)
 
 
+def _fault_circuits(factory):
+    """The factory's faulty circuits, rebuilt from their (position, gate) sites."""
+    return tuple(one_gate_pair(factory.ideal, pos, g)[1] for pos, g in factory.faults)
+
+
 def _row_circuit(factory, row):
-    return factory.ideal if row == 0 else factory.faults[row - 1]
+    return factory.ideal if row == 0 else one_gate_pair(factory.ideal, *factory.faults[row - 1])[1]
 
 
 class TestSwapShotTester:
@@ -304,7 +309,7 @@ class TestFactoryModel:
         with pytest.raises(DomainError):
             FactoryModel(ideal, 0.1, [(0, gate("H", 0))], eps=0.5)
         factory = FactoryModel(ideal, 0.1, [(0, gate("H", 0)), (0, gate("X", 0))], eps=0.5)
-        assert factory.faults == (Circuit(1, (gate("X", 0),)),)
+        assert _fault_circuits(factory) == (Circuit(1, (gate("X", 0),)),)
 
     def test_screens_each_distinct_matrix_pair_once(self, monkeypatch):
         # The H positions share H -> X, and the two reversed CNOTs
@@ -322,7 +327,7 @@ class TestFactoryModel:
         )
         calls = []
         monkeypatch.setattr(pipeline, "worst_distance", lambda u, v: calls.append(1) or worst_distance(u, v))
-        assert FactoryModel(ideal, 0.1, replacements, eps=0.5).faults == reference
+        assert _fault_circuits(FactoryModel(ideal, 0.1, replacements, eps=0.5)) == reference
         assert len(calls) == 3  # H -> X, CNOT -> reversed CNOT, H -> T
 
     def test_sample_rates(self, rng):
@@ -367,7 +372,7 @@ class TestSimulateProduction:
         theta = 2 * np.arcsin(np.sqrt(0.1))
         over_rotated = custom_gate(np.diag([1, np.exp(1j * (np.pi / 2 + theta))]), 1)
         factory = FactoryModel(line_ideal(), 0.15, [(2, over_rotated)], eps=0.3)
-        [fault] = factory.faults
+        [fault] = _fault_circuits(factory)
         assert SwapShotTester(0.4).shot_probability(factory.ideal, fault) == pytest.approx(0.05)
         lax = simulate_production(factory, 11, 300, delta=0.4, seed=13)
         tight = simulate_production(factory, 11, 300, delta=1e-4, seed=13)
